@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import AddhomError, SearchSpaceTooLarge
+from .errors import AddhomError, SearchSpaceTooLarge, SpecFormatError
 from .fields import ExtensionField, PrimeField, Rationals, find_irreducible, parse_field
 from .maps import (
     EXHAUSTIVE,
@@ -82,7 +82,11 @@ def _cmd_field(args) -> int:
 
 def _load_map(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return map_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    return map_from_json(text)
 
 
 def _resolve_cli_strategy(args, m):
@@ -260,7 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--domain-dim", type=int, required=True)
     p_search.add_argument("--codomain-dim", type=int, required=True)
     p_search.add_argument("--mode", choices=["count", "witness"], default="witness")
-    p_search.add_argument("--jobs", type=int, default=1)
+    p_search.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility; the search runs in one process",
+    )
     p_search.add_argument(
         "--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES
     )

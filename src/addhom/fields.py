@@ -17,7 +17,7 @@ on this order.
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -223,9 +223,6 @@ class PrimeField(Field):
             raise DivisionByZero(f"1/0 in Z_{self.p}")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def rank(self, a) -> int:
         return a % self.p
 
@@ -342,9 +339,11 @@ def _monic_polys(base: Field, degree: int):
 
 
 def _int_divisors(n: int):
+    """Positive divisors of n != 0 in ascending order, found in pairs
+    (d, |n| // d) with d <= sqrt(|n|)."""
     n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def is_irreducible(base: Field, coeffs) -> bool:
@@ -352,7 +351,8 @@ def is_irreducible(base: Field, coeffs) -> bool:
 
     Over Z_p: exhaustive trial division by every monic factor of degree
     1..deg/2.  Over Q: degree <= 3 only, where reducibility is equivalent
-    to having a rational root (rational root theorem).
+    to having a rational root: for degree 2, a rational square discriminant;
+    for degree 3, a root among the candidates of the rational root theorem.
     """
     coeffs = tuple(coeffs)
     deg = len(coeffs) - 1
@@ -374,12 +374,16 @@ def is_irreducible(base: Field, coeffs) -> bool:
             raise UnsupportedDegree(
                 "irreducibility over Q is only decided for degree <= 3"
             )
-        # degree 2 or 3: reducible iff a rational root exists
+        if deg == 2:
+            # x^2 + bx + c splits iff b^2 - 4c is a rational square, i.e. a
+            # nonnegative fraction with square numerator and denominator
+            disc = coeffs[1] ** 2 - 4 * coeffs[0]
+            return not (disc >= 0 and all(
+                math.isqrt(n) ** 2 == n for n in (disc.numerator, disc.denominator)
+            ))
         if coeffs[0] == 0:
             return False
-        denom_lcm = 1
-        for c in coeffs:
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = math.lcm(*(c.denominator for c in coeffs))
         ints = [int(c * denom_lcm) for c in coeffs]
         const, lead = ints[0], ints[-1]
         for p in _int_divisors(const):
@@ -390,12 +394,6 @@ def is_irreducible(base: Field, coeffs) -> bool:
                         return False
         return True
     raise UnsupportedTower("irreducibility base must be Q or Z_p")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def find_irreducible(base: PrimeField, degree: int):

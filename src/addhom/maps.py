@@ -239,37 +239,28 @@ def _resolve_strategy(m: VectorMap, strategy):
     return strategy
 
 
-def _basis_vectors(space: VectorSpace):
+def _corners(space: VectorSpace):
+    """The origin, the standard basis, and (dim >= 2) the probe
+    g = (1, -1, 0, ...) of the coordinate-sum-zero branch of closed-form maps."""
     f = space.field
-    return [
+    basis = [
         tuple(f.one if j == i else f.zero for j in range(space.dim))
         for i in range(space.dim)
     ]
-
-
-def _corner_vectors(space: VectorSpace):
-    f = space.field
-    out = [space.zero]
-    basis = _basis_vectors(space)
-    out.extend(basis)
+    probes = []
     if space.dim >= 2:
-        # probes the coordinate-sum-zero branch of closed-form maps
-        g = (f.one, f.neg(f.one)) + (f.zero,) * (space.dim - 2)
-        out.append(g)
-    return out
+        probes.append((f.one, f.neg(f.one)) + (f.zero,) * (space.dim - 2))
+    return space.zero, basis, probes
 
 
 def _additivity_corner_pairs(space: VectorSpace):
-    z = space.zero
-    basis = _basis_vectors(space)
+    z, basis, probes = _corners(space)
     pairs = [(z, z)]
     pairs += [(z, e) for e in basis]
     pairs += [(e, z) for e in basis]
     pairs += [(e, f) for e in basis for f in basis]
     pairs += [(e, space.neg(e)) for e in basis]
-    if space.dim >= 2:
-        f = space.field
-        g = (f.one, f.neg(f.one)) + (f.zero,) * (space.dim - 2)
+    for g in probes:
         pairs += [(g, g), (g, z), (z, g), (g, space.neg(g))]
         pairs += [(g, e) for e in basis]
     return pairs
@@ -280,8 +271,8 @@ def _homogeneity_corner_pairs(m: VectorMap):
     lams = [f.zero, f.one, f.neg(f.one)]
     if isinstance(f, ExtensionField):
         lams.append(f.generator)
-    us = _corner_vectors(m.domain)
-    return [(lam, u) for lam in lams for u in us]
+    z, basis, probes = _corners(m.domain)
+    return [(lam, u) for lam in lams for u in [z, *basis, *probes]]
 
 
 def _additivity_pairs(m: VectorMap, strategy):
@@ -452,14 +443,21 @@ def map_to_dict(m: VectorMap) -> dict:
 
 
 def map_from_dict(d: dict) -> VectorMap:
+    """Decode a map spec.  A malformed spec raises SpecFormatError (or a
+    more specific AddhomError), never a raw KeyError, TypeError,
+    AttributeError or ValueError."""
     try:
-        field = parse_field(d["field"])
-        du = int(d["domain_dim"])
-        dv = int(d["codomain_dim"])
-        body = d["map"]
-        kind = body["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
+        return _decode_map(d)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise SpecFormatError(f"malformed map spec: {exc}") from exc
+
+
+def _decode_map(d: dict) -> VectorMap:
+    field = parse_field(d["field"])
+    du = int(d["domain_dim"])
+    dv = int(d["codomain_dim"])
+    body = d["map"]
+    kind = body["kind"]
     domain = VectorSpace(field, du)
     codomain = VectorSpace(field, dv)
     if kind == "table":
@@ -507,7 +505,7 @@ def map_to_json(m: VectorMap) -> str:
 def map_from_json(text: str) -> VectorMap:
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecFormatError(f"bad JSON: {exc}") from exc
     return map_from_dict(d)
 

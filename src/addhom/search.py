@@ -12,16 +12,15 @@ Two scans:
     over a prime field no survivor may fail, over a proper extension some
     must.
 
-Both work on integer index tables (vector rank <-> index) so the inner
-loops never touch field elements.  Counts are exact Python ints.  The
-orbit scan partitions work by the first orbit's value, so parallel runs
-merge to the same result as sequential ones.
+Both work on integer index tables (vector rank <-> index), built once per
+call, so the inner loops never touch field elements.  Counts are exact
+Python ints.  Both scans run in one process, in canonical order; the
+`jobs` setting is accepted for compatibility and selects nothing.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (
@@ -29,12 +28,11 @@ from .errors import (
     NotPrimeField,
     SearchSpaceTooLarge,
 )
-from .fields import Field, PrimeField, parse_field
+from .fields import Field, PrimeField
 from .maps import (
     CheckReport,
     OrbitTableMap,
     TableMap,
-    VectorMap,
     check_additive,
     check_homogeneous,
     map_to_dict,
@@ -50,8 +48,7 @@ def count_homogeneous(field: Field, du: int, dv: int) -> int:
     if not field.is_finite:
         raise InfiniteFieldError("homogeneous-map count needs a finite field")
     q = field.order
-    n_orbits = (q**du - 1) // (q - 1)
-    return q ** (dv * n_orbits)
+    return q ** (dv * ((q**du - 1) // (q - 1)))
 
 
 def count_linear(field: Field, du: int, dv: int) -> int:
@@ -67,10 +64,9 @@ def count_linear(field: Field, du: int, dv: int) -> int:
 class _IndexTables:
     """Vector arithmetic of F^du and F^dv recast as integer index tables."""
 
-    def __init__(self, field: Field, du: int, dv: int):
-        self.field = field
-        self.domain = VectorSpace(field, du)
-        self.codomain = VectorSpace(field, dv)
+    def __init__(self, domain: VectorSpace, codomain: VectorSpace):
+        self.domain = domain
+        self.codomain = codomain
         self.dvecs = list(self.domain.vectors())
         self.cvecs = list(self.codomain.vectors())
         didx = {v: i for i, v in enumerate(self.dvecs)}
@@ -81,7 +77,7 @@ class _IndexTables:
         self.cadd = [
             [cidx[self.codomain.add(a, b)] for b in self.cvecs] for a in self.cvecs
         ]
-        self.scalars = list(field.elements())
+        self.scalars = list(domain.field.elements())
         self.dact = [
             [didx[self.domain.scalar_mul(s, v)] for v in self.dvecs]
             for s in self.scalars
@@ -137,6 +133,28 @@ class _IndexTables:
         )
 
 
+def _guarded_tables(field: Field, du: int, dv: int, per_orbit: bool, limit: int):
+    """(count, index tables) of a scan over maps F^du -> F^dv.  The count is
+    q^k, k = dv*N, with N = (q^du - 1)/(q - 1) orbits when per_orbit, else
+    N = q^du vectors.  Over limit it refuses before building anything: as
+    q^k >= 2^k and N >= 2^(du - 1), a k or du past the bit length of limit
+    is over it.  An exponent past 64 bits is named by its formula."""
+    if not field.is_finite:
+        raise InfiniteFieldError(f"exhaustive scans need a finite field, not {field}")
+    domain, codomain = VectorSpace(field, du), VectorSpace(field, dv)
+    q, bits = field.order, limit.bit_length()
+    k = None
+    if du <= bits + 64:
+        n = q**du
+        k = dv * ((n - 1) // (q - 1) if per_orbit else n)
+        if k <= bits and q**k <= limit:
+            return q**k, _IndexTables(domain, codomain)
+    if k is None or k.bit_length() > 64:
+        k = f"({dv}*({q}^{du}-1)/{q - 1})" if per_orbit else f"({dv}*{q}^{du})"
+    what = "candidates" if per_orbit else "tables"
+    raise SearchSpaceTooLarge(f"{q}^{k} {what} exceed the limit {limit}")
+
+
 # ---------------------------------------------------------------------------
 # homogeneous-but-not-additive search over orbit tables
 # ---------------------------------------------------------------------------
@@ -148,7 +166,7 @@ class SearchConfig:
     codomain_dim: int
     mode: str = "first_witness"  # count_only | first_witness | enumerate_all
     max_candidates: int = DEFAULT_MAX_CANDIDATES
-    jobs: int = 1
+    jobs: int = 1  # accepted for compatibility; the search runs in one process
 
 
 @dataclass
@@ -189,83 +207,45 @@ class SearchResult:
         }
 
 
-def _scan_partition(field_text: str, du: int, dv: int, first_value: int,
-                    collect_all: bool):
-    """Scan all orbit assignments whose first orbit value rank is fixed.
-
-    Returns (additive count, canonically-first non-additive assignment or
-    None, all non-additive assignments when collect_all).
-    """
-    tables = _IndexTables(parse_field(field_text), du, dv)
-    n_orbits = len(tables.orbits)
-    m = len(tables.cvecs)
-    additive = 0
-    first_bad = None
-    all_bad = []
-    for rest in itertools.product(range(m), repeat=n_orbits - 1):
-        assign = (first_value,) + rest
-        if tables.is_additive(tables.phi_from_assignment(assign)):
-            additive += 1
-        else:
-            if first_bad is None:
-                first_bad = assign
-            if collect_all:
-                all_bad.append(assign)
-    return additive, first_bad, all_bad
-
-
 def search_homogeneous_nonadditive(config: SearchConfig) -> SearchResult:
     """Count all homogeneous maps and filter them by exhaustive additivity;
     report the canonically-first homogeneous non-additive map, re-verified
     through the map checkers before it is returned."""
-    field = config.field
-    if not field.is_finite:
-        raise InfiniteFieldError("search needs a finite field")
-    total = count_homogeneous(field, config.domain_dim, config.codomain_dim)
-    if total > config.max_candidates:
-        raise SearchSpaceTooLarge(
-            f"{total} candidates exceed the limit {config.max_candidates}"
-        )
-    m = field.order ** config.codomain_dim
+    field, du, dv = config.field, config.domain_dim, config.codomain_dim
+    total, tables = _guarded_tables(field, du, dv, True, config.max_candidates)
     collect_all = config.mode == "enumerate_all"
-    args = [
-        (field.descriptor(), config.domain_dim, config.codomain_dim, v0, collect_all)
-        for v0 in range(m)
-    ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            parts = list(pool.map(_scan_partition_star, args))
-    else:
-        parts = [_scan_partition(*a) for a in args]
-
-    additive_total = sum(p[0] for p in parts)
-    first_bad = next((p[1] for p in parts if p[1] is not None), None)
-    result = SearchResult(
-        field_descriptor=field.descriptor(),
-        domain_dim=config.domain_dim,
-        codomain_dim=config.codomain_dim,
-        mode=config.mode,
-        homogeneous_count=total,
-        homogeneous_additive_count=additive_total,
-    )
-    tables = _IndexTables(field, config.domain_dim, config.codomain_dim)
-    if collect_all:
-        result.witness_maps = [
-            tables.orbit_map(a) for p in parts for a in p[2]
-        ]
+    additive = 0
+    first_bad = None
+    witness_maps = []
+    # orbit-major, value-rank minor: the canonical assignment order
+    for assign in itertools.product(
+        range(len(tables.cvecs)), repeat=len(tables.orbits)
+    ):
+        if tables.is_additive(tables.phi_from_assignment(assign)):
+            additive += 1
+            continue
+        if first_bad is None:
+            first_bad = assign
+        if collect_all:
+            witness_maps.append(tables.orbit_map(assign))
+    witness_map = report = None
     if config.mode != "count_only" and first_bad is not None:
         witness_map = tables.orbit_map(first_bad)
         hom = check_homogeneous(witness_map, "exhaustive")
-        add = check_additive(witness_map, "exhaustive")
-        if hom.witness is not None or add.witness is None:
+        report = check_additive(witness_map, "exhaustive")
+        if hom.witness is not None or report.witness is None:
             raise AssertionError("search emitted a map that fails re-verification")
-        result.witness_map = witness_map
-        result.witness_report = add
-    return result
-
-
-def _scan_partition_star(args):
-    return _scan_partition(*args)
+    return SearchResult(
+        field_descriptor=field.descriptor(),
+        domain_dim=du,
+        codomain_dim=dv,
+        mode=config.mode,
+        homogeneous_count=total,
+        homogeneous_additive_count=additive,
+        witness_map=witness_map,
+        witness_report=report,
+        witness_maps=witness_maps,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +290,10 @@ def scan_additive_tables(
 ) -> TableScanReport:
     """Enumerate every table map F^du -> F^dv, keep the additive ones, and
     test each survivor for exhaustive homogeneity."""
-    if not field.is_finite:
-        raise InfiniteFieldError("table scan needs a finite field")
-    tables = _IndexTables(field, du, dv)
-    n = len(tables.dvecs)
-    m = len(tables.cvecs)
-    total = m**n
-    if total > max_candidates:
-        raise SearchSpaceTooLarge(
-            f"{total} tables exceed the limit {max_candidates}"
-        )
-    additive = 0
-    bad = 0
+    total, tables = _guarded_tables(field, du, dv, False, max_candidates)
+    additive = bad = 0
     first_bad = None
-    for phi in itertools.product(range(m), repeat=n):
+    for phi in itertools.product(range(len(tables.cvecs)), repeat=len(tables.dvecs)):
         if not tables.is_additive(phi):
             continue
         additive += 1

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, file round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -170,3 +171,50 @@ def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--input", str(bad),
                        "--property", "additive")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--field", "Fp:3", "--domain-dim", "20", "--codomain-dim", "1"],
+        ["search", "--field", "Fp:2", "--domain-dim", "14", "--codomain-dim", "1"],
+        ["search", "--field", "Fp:2", "--domain-dim", "100000000",
+         "--codomain-dim", "1"],
+        ["verify-theorem1", "--p", "2", "--domain-dim", "12",
+         "--codomain-dim", "1"],
+    ],
+    ids=["search-Z3-20-1", "search-Z2-14-1", "search-Z2-huge-1", "verify-Z2-12-1"],
+)
+def test_guard_refuses_at_once_with_one_line(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _table_spec(body):
+    return json.dumps(
+        {"field": "Fp:2", "domain_dim": 1, "codomain_dim": 1, "map": body}
+    ).encode()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        _table_spec({"kind": "table"}),
+        _table_spec({"kind": "table", "entries": [["(0)", 7], ["(1)", "(1)"]]}),
+        b"\xff\xfe\x00 not utf-8",
+    ],
+    ids=["no-entries", "int-value", "not-utf8"],
+)
+def test_malformed_spec_exits_2(tmp_path, capsys, content):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(content)
+    code, _, err = run(capsys, "check", "--input", str(spec),
+                       "--property", "additive")
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

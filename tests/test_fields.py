@@ -1,6 +1,7 @@
 """Field arithmetic, irreducibility, and enumeration."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,65 @@ def test_q_cubic_with_rational_root_is_reducible():
     # x^3 - x has roots; x^3 - 2 does not
     assert not is_irreducible(Q, tuple(map(Fraction, (-1, 0, 1))))
     assert is_irreducible(Q, tuple(map(Fraction, (-2, 0, 0, 1))))
+
+
+def _has_rational_root_on_grid(coeffs, denominators, bound):
+    """Oracle: try every n/d with d in denominators and |n/d| <= bound."""
+    for d in denominators:
+        for n in range(-bound * d, bound * d + 1):
+            r = Fraction(n, d)
+            if sum(c * r**i for i, c in enumerate(coeffs)) == 0:
+                return True
+    return False
+
+
+def test_q_irreducibility_matches_root_grid_search():
+    # a monic rational root p/q has |p/q| <= 1 + max|c_i| and q dividing
+    # the lcm of the coefficient denominators
+    halves = sorted({Fraction(n, d) for n in range(-3, 4) for d in (1, 2)})
+    for c0, c1 in itertools.product(halves, repeat=2):
+        coeffs = (c0, c1, Fraction(1))
+        assert is_irreducible(Q, coeffs) == (
+            not _has_rational_root_on_grid(coeffs, (1, 2), 4)
+        )
+    ints = [Fraction(n) for n in range(-3, 4)]
+    for c0, c1, c2 in itertools.product(ints, repeat=3):
+        coeffs = (c0, c1, c2, Fraction(1))
+        assert is_irreducible(Q, coeffs) == (
+            not _has_rational_root_on_grid(coeffs, (1,), 4)
+        )
+
+
+def test_int_divisors_match_trial_division():
+    from addhom.fields import _int_divisors
+
+    for n in list(range(-60, 0)) + list(range(1, 200)):
+        assert _int_divisors(n) == [
+            d for d in range(1, abs(n) + 1) if n % d == 0
+        ]
+
+
+def test_q_irreducibility_large_constant_is_fast():
+    start = time.perf_counter()
+    field = parse_field("Qext:-1000000007,0,1")
+    assert time.perf_counter() - start < 1.0
+    assert field.descriptor() == "Qext:-1000000007,0,1"
+    start = time.perf_counter()
+    parse_field("Qext:-1000000007,0,0,1")  # x^3 - p, p prime
+    assert time.perf_counter() - start < 1.0
+
+
+def test_q_reducible_large_constant_is_fast():
+    # (x - 1000000007)(x + 1000000007)
+    start = time.perf_counter()
+    with pytest.raises(ReducibleModulus):
+        parse_field("Qext:-1000000014000000049,0,1")
+    assert time.perf_counter() - start < 1.0
+    # (x - 1000003)(x^2 + 1)
+    start = time.perf_counter()
+    with pytest.raises(ReducibleModulus):
+        parse_field("Qext:-1000003,1,-1000003,1")
+    assert time.perf_counter() - start < 1.0
 
 
 def _monic_polys(base, degree):

@@ -399,3 +399,16 @@ def test_map_spec_validation_errors():
         )
     with pytest.raises(SpecFormatError):
         map_from_json("{not json")
+    with pytest.raises(SpecFormatError):
+        map_from_json("[" * 100_000 + "]" * 100_000)
+    for field, body in [
+        ("Fp:2", {"kind": "table"}),
+        ("Fp:2", {"kind": "table", "entries": [["(0)", 7], ["(1)", "(1)"]]}),
+        ("Fp:2", {"kind": "orbit_table"}),
+        ("Fq:2:1,1,1", {"kind": "klinear_extension"}),
+        ("Fp:2", {"kind": "table", "entries": 5}),
+    ]:
+        with pytest.raises(SpecFormatError):
+            map_from_dict(
+                {"field": field, "domain_dim": 1, "codomain_dim": 1, "map": body}
+            )

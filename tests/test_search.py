@@ -1,14 +1,21 @@
 """Counting formulas, the orbit-table search, and the raw table scans."""
 
 import itertools
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import addhom
+from addhom import search
 from addhom.errors import NotPrimeField, SearchSpaceTooLarge
 from addhom.fields import PrimeField, Rationals, gf
 from addhom.maps import (
     EXHAUSTIVE,
     IndicatorMap,
+    OrbitTableMap,
     check_additive,
     check_homogeneous,
     check_linear,
@@ -164,6 +171,64 @@ def test_search_parallel_determinism():
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("mode", ["count_only", "first_witness", "enumerate_all"])
+def test_search_builds_index_tables_once(monkeypatch, mode, jobs):
+    calls = []
+    init = search._IndexTables.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(search._IndexTables, "__init__", counting_init)
+    search_homogeneous_nonadditive(SearchConfig(Z3, 2, 1, mode=mode, jobs=jobs))
+    assert len(calls) == 1
+
+
+def test_cli_import_leaves_out_process_pool():
+    code = (
+        "import sys, addhom.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    src = str(Path(addhom.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={"PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def _orbit_bruteforce_nonadditive(field, du, dv):
+    """Oracle: every orbit-table map in itertools.product order, filtered by
+    the exhaustive map-level additivity checker."""
+    dom = VectorSpace(field, du)
+    cod = VectorSpace(field, dv)
+    n_orbits = len(dom.orbits())
+    maps = (
+        OrbitTableMap(dom, cod, values)
+        for values in itertools.product(list(cod.vectors()), repeat=n_orbits)
+    )
+    return [m for m in maps if not check_additive(m, EXHAUSTIVE).holds]
+
+
+@pytest.mark.parametrize(
+    "field,du,dv", [(Z3, 2, 1), (GF4, 1, 2), (Z2, 2, 2)],
+    ids=["Z3-2-1", "GF4-1-2", "Z2-2-2"],
+)
+def test_search_matches_orbit_bruteforce(field, du, dv):
+    expected = [map_to_dict(m) for m in _orbit_bruteforce_nonadditive(field, du, dv)]
+    listed = search_homogeneous_nonadditive(
+        SearchConfig(field, du, dv, mode="enumerate_all")
+    )
+    assert [map_to_dict(m) for m in listed.witness_maps] == expected
+    assert listed.non_additive_count == len(expected)
+    first = search_homogeneous_nonadditive(SearchConfig(field, du, dv))
+    witness = map_to_dict(first.witness_map) if first.witness_map else None
+    assert witness == (expected[0] if expected else None)
+
+
 def test_search_canonical_first_witness_z2():
     # assignment order is orbit-major, value-rank minor; the first
     # non-additive assignment over Z_2 (2 -> 1) is (0, 0, 1)
@@ -232,3 +297,28 @@ def test_gf4_contrast_has_additive_nonhomogeneous_tables():
 def test_table_scan_guard():
     with pytest.raises(SearchSpaceTooLarge):
         scan_additive_tables(Z5, 3, 3)
+
+
+def test_guards_refuse_before_building_tables():
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLarge, match=r"^2\^4096 tables exceed"):
+        scan_additive_tables(Z2, 12, 1)
+    with pytest.raises(SearchSpaceTooLarge, match=r"^3\^1743392200 candidates"):
+        search_homogeneous_nonadditive(SearchConfig(Z3, 20, 1))
+    with pytest.raises(SearchSpaceTooLarge, match=r"^2\^16383 candidates"):
+        search_homogeneous_nonadditive(SearchConfig(Z2, 14, 1))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_guard_limit_is_inclusive():
+    result = search_homogeneous_nonadditive(
+        SearchConfig(GF4, 2, 1, mode="count_only", max_candidates=1024)
+    )
+    assert result.homogeneous_count == 1024
+    with pytest.raises(SearchSpaceTooLarge, match=r"^4\^5 candidates"):
+        search_homogeneous_nonadditive(
+            SearchConfig(GF4, 2, 1, mode="count_only", max_candidates=1023)
+        )
+    assert scan_additive_tables(Z2, 2, 1, max_candidates=16).tables_total == 16
+    with pytest.raises(SearchSpaceTooLarge, match=r"^2\^4 tables"):
+        scan_additive_tables(Z2, 2, 1, max_candidates=15)
