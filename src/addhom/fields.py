@@ -320,13 +320,6 @@ def poly_divmod(base: Field, a, b):
     return poly_trim(base, quot), poly_trim(base, rem)
 
 
-def poly_eval(base: Field, coeffs, x):
-    acc = base.zero
-    for c in reversed(tuple(coeffs)):
-        acc = base.add(base.mul(acc, x), c)
-    return acc
-
-
 def _monic_polys(base: Field, degree: int):
     """All monic polynomials of the given degree over a finite base,
     non-leading coefficients in rank order (coefficient 0 fastest)."""
@@ -338,12 +331,41 @@ def _monic_polys(base: Field, degree: int):
         yield tuple(coeffs) + (base.one,)
 
 
-def _int_divisors(n: int):
-    """Positive divisors of n != 0 in ascending order, found in pairs
-    (d, |n| // d) with d <= sqrt(|n|)."""
-    n = abs(n)
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+def _has_integer_root(b: int, c: int, e: int) -> bool:
+    """Whether g(y) = y^3 + b y^2 + c y + e has an integer root, by exact
+    bisection on the pieces of the integers where g is monotone.
+
+    g' = 3y^2 + 2by + c vanishes at (-b -+ r) / 3 with r = sqrt(b^2 - 3c).
+    As s = isqrt(b^2 - 3c) <= r < s + 1, the maximum lies in (lo, lo + 1]
+    for lo = (-b - s - 1) // 3 and the minimum in [hi, hi + 1) for
+    hi = (s - b) // 3: g rises on ..lo, falls on lo+1..hi and rises on
+    hi+1.. .  Every root lies in [-bound, bound] (Cauchy's bound)."""
+    def g(y):
+        return ((y + b) * y + c) * y + e
+
+    def root_in(lo, hi, sign):
+        # smallest y in lo..hi with sign*g(y) >= 0; a root iff g(y) == 0
+        if lo > hi:
+            return False
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * g(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        return g(lo) == 0
+
+    bound = 1 + max(abs(b), abs(c), abs(e))
+    disc = b * b - 3 * c
+    if disc <= 0:  # g' >= 0: g rises on all of R
+        return root_in(-bound, bound, 1)
+    s = math.isqrt(disc)
+    lo, hi = (-b - s - 1) // 3, (s - b) // 3
+    return (
+        root_in(-bound, lo, 1)
+        or root_in(lo + 1, hi, -1)
+        or root_in(hi + 1, bound, 1)
+    )
 
 
 def is_irreducible(base: Field, coeffs) -> bool:
@@ -352,7 +374,7 @@ def is_irreducible(base: Field, coeffs) -> bool:
     Over Z_p: exhaustive trial division by every monic factor of degree
     1..deg/2.  Over Q: degree <= 3 only, where reducibility is equivalent
     to having a rational root: for degree 2, a rational square discriminant;
-    for degree 3, a root among the candidates of the rational root theorem.
+    for degree 3, an integer root of the cubic scaled to integer coefficients.
     """
     coeffs = tuple(coeffs)
     deg = len(coeffs) - 1
@@ -381,18 +403,12 @@ def is_irreducible(base: Field, coeffs) -> bool:
             return not (disc >= 0 and all(
                 math.isqrt(n) ** 2 == n for n in (disc.numerator, disc.denominator)
             ))
-        if coeffs[0] == 0:
-            return False
-        denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * denom_lcm) for c in coeffs]
-        const, lead = ints[0], ints[-1]
-        for p in _int_divisors(const):
-            for q in _int_divisors(lead):
-                for sign in (1, -1):
-                    cand = Fraction(sign * p, q)
-                    if poly_eval(base, coeffs, cand) == 0:
-                        return False
-        return True
+        # x = y/L, with L the lcm of the denominators, turns x^3 + a2 x^2 +
+        # a1 x + a0 into L^-3 (y^3 + a2 L y^2 + a1 L^2 y + a0 L^3), a monic
+        # integer cubic whose rational roots are all integers
+        lcm = math.lcm(*(a.denominator for a in coeffs))
+        a0, a1, a2 = (int(a * lcm ** (3 - i)) for i, a in enumerate(coeffs[:3]))
+        return not _has_integer_root(a2, a1, a0)
     raise UnsupportedTower("irreducibility base must be Q or Z_p")
 
 
@@ -453,9 +469,24 @@ class ExtensionField(Field):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        prod = poly_mul(self.base, a, b)
-        _, rem = poly_divmod(self.base, prod, self.modulus)
-        return self._pad(rem)
+        """Schoolbook product in one list of 2*deg - 1 coefficients; then,
+        from the top down, each x^k with k >= deg is folded through the
+        monic modulus m: x^k = -(m_0 x^(k-deg) + ... + m_(deg-1) x^(k-1))."""
+        base = self.base
+        zero, add, sub, mul = base.zero, base.add, base.sub, base.mul
+        d = self.degree
+        prod = [zero] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x != zero:
+                for j, y in enumerate(b):
+                    prod[i + j] = add(prod[i + j], mul(x, y))
+        modulus = self.modulus
+        for k in range(2 * d - 2, d - 1, -1):
+            c = prod[k]
+            if c != zero:
+                for i in range(d):
+                    prod[k - d + i] = sub(prod[k - d + i], mul(c, modulus[i]))
+        return tuple(prod[:d])
 
     def inv(self, a):
         if all(c == self.base.zero for c in a):

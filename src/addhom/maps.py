@@ -18,6 +18,10 @@ reports.  The sampled strategy checks a fixed list of corner pairs first
 (origin, standard basis pairs, sign flips, coordinate-sum-zero probes) and
 only then the pseudo-random draws; corners are what pin the published
 witnesses on infinite fields.
+
+Within one checker call each distinct input is evaluated at most once (a
+dict local to the call; nothing outlives it), so a map must be a function
+of its input alone.
 """
 
 from __future__ import annotations
@@ -301,48 +305,71 @@ def _homogeneity_pairs(m: VectorMap, strategy):
         yield m.domain.field.random_element(rng), m.domain.random_vector(rng)
 
 
-def check_additive(m: VectorMap, strategy=None) -> CheckReport:
-    """Scan pairs (u1, u2) for phi(u1+u2) != phi(u1)+phi(u2)."""
-    strategy = _resolve_strategy(m, strategy)
+def _memo(m: VectorMap):
+    """m.evaluate behind a dict filled on first use, so that one checker
+    call evaluates each distinct input at most once."""
+    values = {}
+
+    def evaluate(v):
+        out = values.get(v)
+        if out is None:
+            out = values[v] = m.evaluate(v)
+        return out
+
+    return evaluate
+
+
+def _verdict(strategy) -> str:
+    return "holds_exhaustive" if strategy == EXHAUSTIVE else "holds_on_samples"
+
+
+def _scan_additive(m: VectorMap, strategy, evaluate) -> CheckReport:
     checked = 0
     for u1, u2 in _additivity_pairs(m, strategy):
         checked += 1
-        lhs = m.evaluate(m.domain.add(u1, u2))
-        rhs = m.codomain.add(m.evaluate(u1), m.evaluate(u2))
+        lhs = evaluate(m.domain.add(u1, u2))
+        rhs = m.codomain.add(evaluate(u1), evaluate(u2))
         if lhs != rhs:
             w = Witness("additivity", (u1, u2), lhs, rhs)
             return CheckReport("additive", "violated", w, checked)
-    verdict = "holds_exhaustive" if strategy == EXHAUSTIVE else "holds_on_samples"
-    return CheckReport("additive", verdict, None, checked)
+    return CheckReport("additive", _verdict(strategy), None, checked)
+
+
+def _scan_homogeneous(m: VectorMap, strategy, evaluate) -> CheckReport:
+    checked = 0
+    for lam, u in _homogeneity_pairs(m, strategy):
+        checked += 1
+        lhs = evaluate(m.domain.scalar_mul(lam, u))
+        rhs = m.codomain.scalar_mul(lam, evaluate(u))
+        if lhs != rhs:
+            w = Witness("homogeneity", (lam, u), lhs, rhs)
+            return CheckReport("homogeneous", "violated", w, checked)
+    return CheckReport("homogeneous", _verdict(strategy), None, checked)
+
+
+def check_additive(m: VectorMap, strategy=None) -> CheckReport:
+    """Scan pairs (u1, u2) for phi(u1+u2) != phi(u1)+phi(u2)."""
+    return _scan_additive(m, _resolve_strategy(m, strategy), _memo(m))
 
 
 def check_homogeneous(m: VectorMap, strategy=None) -> CheckReport:
     """Scan pairs (lam, u) for phi(lam*u) != lam*phi(u)."""
-    strategy = _resolve_strategy(m, strategy)
-    checked = 0
-    for lam, u in _homogeneity_pairs(m, strategy):
-        checked += 1
-        lhs = m.evaluate(m.domain.scalar_mul(lam, u))
-        rhs = m.codomain.scalar_mul(lam, m.evaluate(u))
-        if lhs != rhs:
-            w = Witness("homogeneity", (lam, u), lhs, rhs)
-            return CheckReport("homogeneous", "violated", w, checked)
-    verdict = "holds_exhaustive" if strategy == EXHAUSTIVE else "holds_on_samples"
-    return CheckReport("homogeneous", verdict, None, checked)
+    return _scan_homogeneous(m, _resolve_strategy(m, strategy), _memo(m))
 
 
 def check_linear(m: VectorMap, strategy=None) -> CheckReport:
-    """Additivity first, then homogeneity; first witness wins."""
-    add = check_additive(m, strategy)
+    """Additivity first, then homogeneity; first witness wins.  Both scans
+    share one memo, so each input is evaluated at most once in all."""
+    strategy = _resolve_strategy(m, strategy)
+    evaluate = _memo(m)
+    add = _scan_additive(m, strategy, evaluate)
     if add.witness is not None:
         return CheckReport("linear", "violated", add.witness, add.pairs_checked)
-    hom = check_homogeneous(m, strategy)
+    hom = _scan_homogeneous(m, strategy, evaluate)
     checked = add.pairs_checked + hom.pairs_checked
     if hom.witness is not None:
         return CheckReport("linear", "violated", hom.witness, checked)
-    if add.verdict == "holds_exhaustive" and hom.verdict == "holds_exhaustive":
-        return CheckReport("linear", "holds_exhaustive", None, checked)
-    return CheckReport("linear", "holds_on_samples", None, checked)
+    return CheckReport("linear", _verdict(strategy), None, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -461,18 +488,16 @@ def _decode_map(d: dict) -> VectorMap:
     domain = VectorSpace(field, du)
     codomain = VectorSpace(field, dv)
     if kind == "table":
-        entries = {}
-        for pair in body["entries"]:
-            if len(pair) != 2:
-                raise SpecFormatError("table entries must be [input, output] pairs")
-            entries[domain.decode(pair[0])] = codomain.decode(pair[1])
+        entries = _decode_pairs(
+            domain, codomain, body["entries"],
+            "table entries must be [input, output] pairs", "table input",
+        )
         return TableMap(domain, codomain, entries)
     if kind == "orbit_table":
-        by_rep = {}
-        for pair in body["values"]:
-            if len(pair) != 2:
-                raise SpecFormatError("orbit values must be [rep, value] pairs")
-            by_rep[domain.decode(pair[0])] = codomain.decode(pair[1])
+        by_rep = _decode_pairs(
+            domain, codomain, body["values"],
+            "orbit values must be [rep, value] pairs", "orbit representative",
+        )
         orbits = domain.orbits()
         missing = [o for o in orbits if o.representative not in by_rep]
         if missing or len(by_rep) != len(orbits):
@@ -496,6 +521,20 @@ def _decode_map(d: dict) -> VectorMap:
             raise SpecFormatError("indicator maps Z_2^2 -> Z_2")
         return IndicatorMap()
     raise SpecFormatError(f"unknown map kind {kind!r}")
+
+
+def _decode_pairs(domain, codomain, pairs, shape: str, name: str) -> dict:
+    """[input, value] pairs as a dict; an input listed twice is an error,
+    not a silent overwrite."""
+    out = {}
+    for pair in pairs:
+        if len(pair) != 2:
+            raise SpecFormatError(shape)
+        key, value = domain.decode(pair[0]), codomain.decode(pair[1])
+        if key in out:
+            raise SpecFormatError(f"{name} {domain.encode(key)} listed twice")
+        out[key] = value
+    return out
 
 
 def map_to_json(m: VectorMap) -> str:

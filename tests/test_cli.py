@@ -207,8 +207,10 @@ def _table_spec(body):
         _table_spec({"kind": "table"}),
         _table_spec({"kind": "table", "entries": [["(0)", 7], ["(1)", "(1)"]]}),
         b"\xff\xfe\x00 not utf-8",
+        _table_spec({"kind": "table",
+                     "entries": [["(0)", "(0)"], ["(1)", "(1)"], ["(1)", "(0)"]]}),
     ],
-    ids=["no-entries", "int-value", "not-utf8"],
+    ids=["no-entries", "int-value", "not-utf8", "duplicate-input"],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, content):
     spec = tmp_path / "bad.json"

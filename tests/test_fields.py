@@ -1,6 +1,7 @@
 """Field arithmetic, irreducibility, and enumeration."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -263,23 +264,20 @@ def test_q_irreducibility_matches_root_grid_search():
         )
 
 
-def test_int_divisors_match_trial_division():
-    from addhom.fields import _int_divisors
-
-    for n in list(range(-60, 0)) + list(range(1, 200)):
-        assert _int_divisors(n) == [
-            d for d in range(1, abs(n) + 1) if n % d == 0
-        ]
-
-
 def test_q_irreducibility_large_constant_is_fast():
     start = time.perf_counter()
     field = parse_field("Qext:-1000000007,0,1")
     assert time.perf_counter() - start < 1.0
     assert field.descriptor() == "Qext:-1000000007,0,1"
-    start = time.perf_counter()
-    parse_field("Qext:-1000000007,0,0,1")  # x^3 - p, p prime
-    assert time.perf_counter() - start < 1.0
+    for text in [
+        "Qext:-1000000007,0,0,1",  # x^3 - p, p prime
+        "Qext:-200000000000000,0,0,1",
+        "Qext:-10000000000000000,0,0,1",
+        "Qext:-2/10000000000000000,0,0,1",
+    ]:
+        start = time.perf_counter()
+        parse_field(text)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_q_reducible_large_constant_is_fast():
@@ -293,6 +291,38 @@ def test_q_reducible_large_constant_is_fast():
     with pytest.raises(ReducibleModulus):
         parse_field("Qext:-1000003,1,-1000003,1")
     assert time.perf_counter() - start < 1.0
+    # x^3 - 10^18 has the root 10^6
+    start = time.perf_counter()
+    with pytest.raises(ReducibleModulus):
+        parse_field("Qext:-1000000000000000000,0,0,1")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_q_cubic_irreducibility_matches_integer_root_scan():
+    # monic integer cubics: a rational root is an integer within 1 + max|c_i|
+    for c0, c1, c2 in itertools.product(range(-8, 9), repeat=3):
+        coeffs = tuple(map(Fraction, (c0, c1, c2, 1)))
+        bound = 1 + max(abs(c0), abs(c1), abs(c2))
+        has_root = any(
+            c0 + c1 * y + c2 * y * y + y**3 == 0 for y in range(-bound, bound + 1)
+        )
+        assert is_irreducible(Q, coeffs) == (not has_root), coeffs
+
+
+def test_q_cubic_roots_near_the_critical_points():
+    # cubics with integer roots next to, between and beyond the critical
+    # points, and the same roots divided by 3; all reducible
+    for r1, r2, r3 in itertools.product((-7, -1, 0, 2, 5, 40), repeat=3):
+        roots = (r1, r2, r3)
+        coeffs = (-r1 * r2 * r3, r1 * r2 + r2 * r3 + r1 * r3, -(r1 + r2 + r3), 1)
+        assert not is_irreducible(Q, tuple(map(Fraction, coeffs)))
+        scaled = tuple(Fraction(c, 3 ** (3 - i)) for i, c in enumerate(coeffs))
+        assert not is_irreducible(Q, scaled), roots  # roots r/3
+    # (x - r)(x^2 + 2) stays reducible, x^3 + c with c not a cube does not
+    for r in (-9, 0, 4, 10**9):
+        assert not is_irreducible(Q, tuple(map(Fraction, (-2 * r, 2, -r, 1))))
+    for c in (2, -3, 9, 10**12 + 1):
+        assert is_irreducible(Q, tuple(map(Fraction, (c, 0, 0, 1))))
 
 
 def _monic_polys(base, degree):
@@ -359,6 +389,38 @@ def test_qsqrt2_product_matches_surd_identity(a, b):
     # (a0 + a1 s)(b0 + b1 s) = a0 b0 + 2 a1 b1 + (a0 b1 + a1 b0) s
     prod = QS2.mul(a, b)
     assert prod == (a[0] * b[0] + 2 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _reduced_product(field, a, b):
+    """Reference: the product reduced by polynomial division, padded."""
+    _, rem = poly_divmod(field.base, poly_mul(field.base, a, b), field.modulus)
+    return tuple(rem) + (field.base.zero,) * (field.degree - len(rem))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [GF4, GF8, ExtensionField(Z2, (1, 0, 1, 1)), GF9, gf(5, 2), gf(3, 3)],
+    ids=lambda f: f.descriptor(),
+)
+def test_extension_mul_matches_polynomial_division_exhaustive(field):
+    elems = list(field.elements())
+    for a in elems:
+        for b in elems:
+            assert field.mul(a, b) == _reduced_product(field, a, b)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [QS2, parse_field("Qext:-2,0,0,1"), parse_field("Qext:1/3,-2/5,7/2,1")],
+    ids=lambda f: f.descriptor(),
+)
+def test_extension_mul_matches_polynomial_division_sampled(field):
+    rng = random.Random(97)
+    for _ in range(500):
+        a, b = field.random_element(rng), field.random_element(rng)
+        prod = field.mul(a, b)
+        assert prod == _reduced_product(field, a, b)
+        assert all(isinstance(c, Fraction) for c in prod)
 
 
 # text encoding --------------------------------------------------------------

@@ -22,8 +22,12 @@ from addhom.maps import (
     OrbitTableMap,
     RatioMap,
     Sampled,
+    CheckReport,
     TableMap,
     VectorMap,
+    Witness,
+    _additivity_pairs,
+    _homogeneity_pairs,
     build_char2_indicator,
     build_ratio_map,
     build_theorem1_counterexample,
@@ -248,6 +252,112 @@ def test_checker_determinism():
     assert r1 == r2
 
 
+# one evaluation per input ---------------------------------------------------------
+
+class CountingMap(VectorMap):
+    """Delegates to another map and counts the evaluate calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.domain, self.codomain = inner.domain, inner.codomain
+        self.calls = 0
+
+    def evaluate(self, v):
+        self.calls += 1
+        return self.inner.evaluate(v)
+
+
+def _unmemoized_check(m, prop, strategy):
+    """Tests-local reference: the checkers' pair scan in the same pair
+    order, with three plain evaluations per pair.  Returns the report and
+    the number of evaluations."""
+    counted = CountingMap(m)
+    ev, dom, cod = counted.evaluate, m.domain, m.codomain
+    checked = 0
+    if prop in ("additive", "linear"):
+        for u1, u2 in _additivity_pairs(m, strategy):
+            checked += 1
+            lhs, rhs = ev(dom.add(u1, u2)), cod.add(ev(u1), ev(u2))
+            if lhs != rhs:
+                w = Witness("additivity", (u1, u2), lhs, rhs)
+                return CheckReport(prop, "violated", w, checked), counted.calls
+    if prop in ("homogeneous", "linear"):
+        for lam, u in _homogeneity_pairs(m, strategy):
+            checked += 1
+            lhs, rhs = ev(dom.scalar_mul(lam, u)), cod.scalar_mul(lam, ev(u))
+            if lhs != rhs:
+                w = Witness("homogeneity", (lam, u), lhs, rhs)
+                return CheckReport(prop, "violated", w, checked), counted.calls
+    verdict = "holds_exhaustive" if strategy == EXHAUSTIVE else "holds_on_samples"
+    return CheckReport(prop, verdict, None, checked), counted.calls
+
+
+def _perturbed_linear_table():
+    """(x, y) -> 2x + 3y over Z_5, with the value at (1, 2) changed."""
+    dom, cod = VectorSpace(Z5, 2), VectorSpace(Z5, 1)
+    entries = {v: ((2 * v[0] + 3 * v[1]) % 5,) for v in dom.vectors()}
+    entries[(1, 2)] = (0,)
+    return TableMap(dom, cod, entries)
+
+
+QC2 = parse_field("Qext:-2,0,0,1")
+CHECKERS = {
+    "additive": check_additive,
+    "homogeneous": check_homogeneous,
+    "linear": check_linear,
+}
+
+
+@pytest.mark.parametrize(
+    "build,strategy",
+    [
+        (lambda: build_theorem1_counterexample(GF8), EXHAUSTIVE),
+        (lambda: build_theorem1_counterexample(GF9), EXHAUSTIVE),
+        (lambda: build_ratio_map(PrimeField(23)), EXHAUSTIVE),
+        (lambda: build_ratio_map(gf(5, 2)), EXHAUSTIVE),
+        (build_char2_indicator, EXHAUSTIVE),
+        (_perturbed_linear_table, EXHAUSTIVE),
+        (lambda: build_theorem1_counterexample(QS2), Sampled(seed=11, samples=60)),
+        (lambda: build_theorem1_counterexample(QC2), Sampled(seed=12, samples=60)),
+        (lambda: build_ratio_map(QS2), Sampled(seed=13, samples=60)),
+        (lambda: build_ratio_map(QC2), Sampled(seed=14, samples=60)),
+    ],
+    ids=[
+        "thm1-GF8", "thm1-GF9", "ratio-Z23", "ratio-GF25", "indicator",
+        "perturbed-table", "thm1-Qsqrt2", "thm1-Qcbrt2", "ratio-Qsqrt2",
+        "ratio-Qcbrt2",
+    ],
+)
+@pytest.mark.parametrize("prop", list(CHECKERS))
+def test_checker_evaluates_each_input_once(build, strategy, prop):
+    m = build()
+    counted = CountingMap(m)
+    report = CHECKERS[prop](counted, strategy)
+    expected, plain_calls = _unmemoized_check(m, prop, strategy)
+    assert report == expected
+    assert counted.calls <= plain_calls
+    if strategy == EXHAUSTIVE:
+        assert counted.calls <= m.domain.size
+
+
+def test_check_linear_shares_one_memo():
+    # the homogeneity scan after a passing additivity scan finds every
+    # input already evaluated
+    space = VectorSpace(GF4, 2)
+    table = {v: v for v in space.vectors()}
+    counted = CountingMap(TableMap(space, space, table))
+    assert check_linear(counted, EXHAUSTIVE).verdict == "holds_exhaustive"
+    assert counted.calls == space.size
+
+
+def test_memo_does_not_outlive_a_call():
+    counted = CountingMap(build_char2_indicator())
+    check_homogeneous(counted, EXHAUSTIVE)
+    first = counted.calls
+    check_homogeneous(counted, EXHAUSTIVE)
+    assert counted.calls == 2 * first == 8
+
+
 # phi(0) = 0 and orbit-table homogeneity ----------------------------------------
 
 def zero_fixed(m):
@@ -407,6 +517,10 @@ def test_map_spec_validation_errors():
         ("Fp:2", {"kind": "orbit_table"}),
         ("Fq:2:1,1,1", {"kind": "klinear_extension"}),
         ("Fp:2", {"kind": "table", "entries": 5}),
+        ("Fp:2", {"kind": "table",
+                  "entries": [["(0)", "(0)"], ["(1)", "(1)"], ["(1)", "(0)"]]}),
+        ("Fp:3", {"kind": "orbit_table",
+                  "values": [["(1)", "(1)"], ["(1)", "(2)"]]}),
     ]:
         with pytest.raises(SpecFormatError):
             map_from_dict(
