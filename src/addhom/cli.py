@@ -4,7 +4,7 @@ Exit codes:
   0  the requested property holds / the requested object was produced
   1  the property is violated (a witness is on stdout) or no witness exists
   2  usage or input-format error
-  3  resource guard tripped (search space too large)
+  3  resource guard tripped (search space or exhaustive check too large)
 
 Subcommands: field find-irreducible, check, counterexample, trace, search,
 verify-theorem1.  All verdict-bearing output is available as JSON.

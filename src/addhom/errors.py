@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by the whole package."""
+"""Exception taxonomy shared by the whole package, and the default limit of
+the guard that raises SearchSpaceTooLarge."""
+
+DEFAULT_MAX_CANDIDATES = 10**8
 
 
 class AddhomError(Exception):
@@ -9,6 +12,10 @@ class AddhomError(Exception):
 
 class NonPrimeModulus(AddhomError):
     """A prime field was requested with a composite modulus."""
+
+
+class ModulusTooLarge(AddhomError):
+    """A modulus past the range where primality is decided exactly."""
 
 
 class NonMonicModulus(AddhomError):

@@ -24,6 +24,7 @@ from .errors import (
     CharacteristicMismatch,
     DivisionByZero,
     InfiniteFieldError,
+    ModulusTooLarge,
     NonMonicModulus,
     NonPrimeModulus,
     ReducibleModulus,
@@ -33,19 +34,38 @@ from .errors import (
 )
 
 
+# Miller-Rabin with these bases decides primality exactly below
+# PRIME_LIMIT (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check; inputs are desk-scale."""
+    """Deterministic Miller-Rabin over the first 13 primes as bases; exact
+    for n < PRIME_LIMIT, and larger n are refused."""
+    if n >= PRIME_LIMIT:
+        raise ModulusTooLarge(
+            f"primality is decided only below {PRIME_LIMIT}, not for {n}"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -320,6 +340,16 @@ def poly_divmod(base: Field, a, b):
     return poly_trim(base, quot), poly_trim(base, rem)
 
 
+def _poly_pow_mod(base: Field, a, e: int, m):
+    """a^e mod m for e >= 1, squaring and multiplying from the top bit."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = poly_divmod(base, poly_mul(base, out, out), m)[1]
+        if bit == "1":
+            out = poly_divmod(base, poly_mul(base, out, a), m)[1]
+    return out
+
+
 def _monic_polys(base: Field, degree: int):
     """All monic polynomials of the given degree over a finite base,
     non-leading coefficients in rank order (coefficient 0 fastest)."""
@@ -371,10 +401,11 @@ def _has_integer_root(b: int, c: int, e: int) -> bool:
 def is_irreducible(base: Field, coeffs) -> bool:
     """Irreducibility of a monic polynomial of degree >= 1.
 
-    Over Z_p: exhaustive trial division by every monic factor of degree
-    1..deg/2.  Over Q: degree <= 3 only, where reducibility is equivalent
-    to having a rational root: for degree 2, a rational square discriminant;
-    for degree 3, an integer root of the cubic scaled to integer coefficients.
+    Over Z_p: Ben-Or's test, gcd(f, x^(p^i) - x) = 1 for i = 1..deg/2, so
+    a factor of degree i shows up at step i.  Over Q: degree <= 3 only,
+    where reducibility is equivalent to having a rational root: for degree
+    2, a rational square discriminant; for degree 3, an integer root of the
+    cubic scaled to integer coefficients.
     """
     coeffs = tuple(coeffs)
     deg = len(coeffs) - 1
@@ -385,11 +416,14 @@ def is_irreducible(base: Field, coeffs) -> bool:
     if deg == 1:
         return True
     if isinstance(base, PrimeField):
-        for d in range(1, deg // 2 + 1):
-            for g in _monic_polys(base, d):
-                _, rem = poly_divmod(base, coeffs, g)
-                if not rem:
-                    return False
+        x = h = (base.zero, base.one)
+        for _ in range(deg // 2):
+            h = _poly_pow_mod(base, h, base.p, coeffs)  # x^(p^i) mod f
+            a, b = coeffs, poly_sub(base, h, x)
+            while b:
+                a, b = b, poly_divmod(base, a, b)[1]
+            if len(a) > 1:
+                return False
         return True
     if isinstance(base, Rationals):
         if deg > 3:
@@ -461,9 +495,6 @@ class ExtensionField(Field):
 
     def add(self, a, b):
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
         return tuple(self.base.neg(x) for x in a)

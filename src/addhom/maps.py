@@ -32,11 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    DEFAULT_MAX_CANDIDATES,
     CharacteristicMismatch,
     CharacteristicTwo,
     DomainMismatch,
     InfiniteDomainExhaustive,
     NotAnExtension,
+    SearchSpaceTooLarge,
     SpecFormatError,
     ZeroDenominator,
 )
@@ -233,13 +235,22 @@ def build_char2_indicator() -> IndicatorMap:
 # checkers
 # ---------------------------------------------------------------------------
 
-def _resolve_strategy(m: VectorMap, strategy):
+def _resolve_strategy(m: VectorMap, strategy, k: int):
+    """The strategy a check runs.  An exhaustive scan of q^k pairs over the
+    limit is refused before any work; as q^k >= 2^k, a k past the bit
+    length of the limit is over it."""
     if strategy is None:
-        return EXHAUSTIVE if m.domain.is_finite else Sampled()
-    if strategy == EXHAUSTIVE and not m.domain.is_finite:
+        strategy = EXHAUSTIVE if m.domain.is_finite else Sampled()
+    elif strategy == EXHAUSTIVE and not m.domain.is_finite:
         raise InfiniteDomainExhaustive(
             f"cannot exhaust {m.domain}; use the sampled strategy"
         )
+    if strategy == EXHAUSTIVE:
+        q, limit = m.domain.field.order, DEFAULT_MAX_CANDIDATES
+        if k > limit.bit_length() or q**k > limit:
+            raise SearchSpaceTooLarge(
+                f"{q}^{k} pairs exceed the limit {limit}; use --strategy sampled"
+            )
     return strategy
 
 
@@ -349,18 +360,20 @@ def _scan_homogeneous(m: VectorMap, strategy, evaluate) -> CheckReport:
 
 def check_additive(m: VectorMap, strategy=None) -> CheckReport:
     """Scan pairs (u1, u2) for phi(u1+u2) != phi(u1)+phi(u2)."""
-    return _scan_additive(m, _resolve_strategy(m, strategy), _memo(m))
+    strategy = _resolve_strategy(m, strategy, 2 * m.domain.dim)
+    return _scan_additive(m, strategy, _memo(m))
 
 
 def check_homogeneous(m: VectorMap, strategy=None) -> CheckReport:
     """Scan pairs (lam, u) for phi(lam*u) != lam*phi(u)."""
-    return _scan_homogeneous(m, _resolve_strategy(m, strategy), _memo(m))
+    strategy = _resolve_strategy(m, strategy, m.domain.dim + 1)
+    return _scan_homogeneous(m, strategy, _memo(m))
 
 
 def check_linear(m: VectorMap, strategy=None) -> CheckReport:
     """Additivity first, then homogeneity; first witness wins.  Both scans
     share one memo, so each input is evaluated at most once in all."""
-    strategy = _resolve_strategy(m, strategy)
+    strategy = _resolve_strategy(m, strategy, 2 * m.domain.dim)
     evaluate = _memo(m)
     add = _scan_additive(m, strategy, evaluate)
     if add.witness is not None:
@@ -498,9 +511,16 @@ def _decode_map(d: dict) -> VectorMap:
             domain, codomain, body["values"],
             "orbit values must be [rep, value] pairs", "orbit representative",
         )
+        # a finite domain has (q^du - 1)/(q - 1) >= 2^(du - 1) orbits:
+        # compare bit lengths before counting them, and count them before
+        # listing them
+        q, n = field.order, len(by_rep)
+        if field.is_finite and (
+            du - 1 > n.bit_length() or (q**du - 1) // (q - 1) != n
+        ):
+            raise SpecFormatError("orbit table must cover every orbit exactly once")
         orbits = domain.orbits()
-        missing = [o for o in orbits if o.representative not in by_rep]
-        if missing or len(by_rep) != len(orbits):
+        if any(o.representative not in by_rep for o in orbits):
             raise SpecFormatError("orbit table must cover every orbit exactly once")
         return OrbitTableMap(
             domain, codomain, [by_rep[o.representative] for o in orbits]

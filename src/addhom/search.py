@@ -12,10 +12,12 @@ Two scans:
     over a prime field no survivor may fail, over a proper extension some
     must.
 
-Both work on integer index tables (vector rank <-> index), built once per
-call, so the inner loops never touch field elements.  Counts are exact
-Python ints.  Both scans run in one process, in canonical order; the
-`jobs` setting is accepted for compatibility and selects nothing.
+Both test a candidate, given as the list of its value indices, against
+flat constraint lists built once per call: (i, j, i+j) for additivity and
+(scalar action, i, s*i) for homogeneity, so the inner loops never touch
+field elements.  Counts are exact Python ints.  Both scans run in one
+process, in canonical order; the `jobs` setting is accepted for
+compatibility and selects nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (
+    DEFAULT_MAX_CANDIDATES,
+    DimensionMismatch,
     InfiniteFieldError,
     NotPrimeField,
     SearchSpaceTooLarge,
@@ -39,8 +43,6 @@ from .maps import (
     report_to_dict,
 )
 from .spaces import VectorSpace
-
-DEFAULT_MAX_CANDIDATES = 10**8
 
 
 def count_homogeneous(field: Field, du: int, dv: int) -> int:
@@ -61,66 +63,53 @@ def count_linear(field: Field, du: int, dv: int) -> int:
 # integer index tables
 # ---------------------------------------------------------------------------
 
+def _space_tables(space: VectorSpace, scalars):
+    """A finite space's vectors (index 0 is zero) and its tables by index:
+    add[a][b] indexes vecs[a] + vecs[b], act[s][v] scalars[s] * vecs[v]."""
+    vecs = list(space.vectors())
+    index = {v: i for i, v in enumerate(vecs)}
+    add = [[index[space.add(a, b)] for b in vecs] for a in vecs]
+    act = [[index[space.scalar_mul(s, v)] for v in vecs] for s in scalars]
+    return vecs, add, act
+
+
 class _IndexTables:
-    """Vector arithmetic of F^du and F^dv recast as integer index tables."""
+    """Constraints on a map F^du -> F^dv, phi = its value indices by domain
+    index: sums (i, j, i+j), i <= j, and scales (codomain action of s, i,
+    s*i), in the order of a nested scan over (i, j) and (s, i)."""
 
     def __init__(self, domain: VectorSpace, codomain: VectorSpace):
-        self.domain = domain
-        self.codomain = codomain
-        self.dvecs = list(self.domain.vectors())
-        self.cvecs = list(self.codomain.vectors())
-        didx = {v: i for i, v in enumerate(self.dvecs)}
-        cidx = {v: i for i, v in enumerate(self.cvecs)}
-        self.dadd = [
-            [didx[self.domain.add(a, b)] for b in self.dvecs] for a in self.dvecs
-        ]
-        self.cadd = [
-            [cidx[self.codomain.add(a, b)] for b in self.cvecs] for a in self.cvecs
-        ]
-        self.scalars = list(domain.field.elements())
-        self.dact = [
-            [didx[self.domain.scalar_mul(s, v)] for v in self.dvecs]
-            for s in self.scalars
-        ]
-        self.cact = [
-            [cidx[self.codomain.scalar_mul(s, v)] for v in self.cvecs]
-            for s in self.scalars
-        ]
-        self.orbits = self.domain.orbits()
-        # for every nonzero domain vector: (orbit index, scalar rank)
-        self.orbit_of = [None] * len(self.dvecs)
+        self.domain, self.codomain = domain, codomain
+        scalars = list(domain.field.elements())
+        self.dvecs, dadd, dact = _space_tables(domain, scalars)
+        self.cvecs, self.cadd, cact = _space_tables(codomain, scalars)
+        n, q = len(self.dvecs), len(scalars)
+        self.sums = [(i, j, dadd[i][j]) for i in range(n) for j in range(i, n)]
+        self.scales = [(cact[s], i, dact[s][i]) for s in range(q) for i in range(n)]
+        self.orbits = domain.orbits()
+        # per nonzero domain vector s*rep: (orbit index, codomain action of s)
+        orbit_of = [None] * n
         for orb in self.orbits:
-            rep_i = didx[orb.representative]
-            for s_rank in range(1, len(self.scalars)):
-                self.orbit_of[self.dact[s_rank][rep_i]] = (orb.index, s_rank)
+            rep = domain.rank(orb.representative)
+            for s in range(1, q):
+                orbit_of[dact[s][rep]] = (orb.index, cact[s])
+        self.orbit_of = orbit_of[1:]
 
     def phi_from_assignment(self, assign):
         """Index table of the orbit map with the given per-orbit value ranks."""
-        phi = [0] * len(self.dvecs)  # index 0 is the zero vector on both sides
-        for i in range(1, len(self.dvecs)):
-            oi, s_rank = self.orbit_of[i]
-            phi[i] = self.cact[s_rank][assign[oi]]
-        return phi
+        return [0] + [act[assign[o]] for o, act in self.orbit_of]
 
     def is_additive(self, phi) -> bool:
-        dadd, cadd = self.dadd, self.cadd
-        n = len(phi)
-        for i in range(n):
-            pi = phi[i]
-            row = dadd[i]
-            crow = cadd[pi]
-            for j in range(i, n):
-                if crow[phi[j]] != phi[row[j]]:
-                    return False
+        cadd = self.cadd
+        for i, j, k in self.sums:
+            if cadd[phi[i]][phi[j]] != phi[k]:
+                return False
         return True
 
     def is_homogeneous(self, phi) -> bool:
-        for s_rank in range(len(self.scalars)):
-            act_d = self.dact[s_rank]
-            act_c = self.cact[s_rank]
-            for i in range(len(phi)):
-                if act_c[phi[i]] != phi[act_d[i]]:
-                    return False
+        for act, i, k in self.scales:
+            if act[phi[i]] != phi[k]:
+                return False
         return True
 
     def table_map(self, phi) -> TableMap:
@@ -141,18 +130,27 @@ def _guarded_tables(field: Field, du: int, dv: int, per_orbit: bool, limit: int)
     is over it.  An exponent past 64 bits is named by its formula."""
     if not field.is_finite:
         raise InfiniteFieldError(f"exhaustive scans need a finite field, not {field}")
-    domain, codomain = VectorSpace(field, du), VectorSpace(field, dv)
+    if min(du, dv) < 1:
+        raise DimensionMismatch("dimension must be >= 1")
     q, bits = field.order, limit.bit_length()
     k = None
     if du <= bits + 64:
         n = q**du
         k = dv * ((n - 1) // (q - 1) if per_orbit else n)
         if k <= bits and q**k <= limit:
-            return q**k, _IndexTables(domain, codomain)
+            return q**k, _IndexTables(VectorSpace(field, du), VectorSpace(field, dv))
     if k is None or k.bit_length() > 64:
         k = f"({dv}*({q}^{du}-1)/{q - 1})" if per_orbit else f"({dv}*{q}^{du})"
     what = "candidates" if per_orbit else "tables"
     raise SearchSpaceTooLarge(f"{q}^{k} {what} exceed the limit {limit}")
+
+
+def _reverify(m, holds, fails) -> CheckReport:
+    """fails' exhaustive report on a scan's map; holds must hold, fails not."""
+    report = fails(m, "exhaustive")
+    if not holds(m, "exhaustive").holds or report.holds:
+        raise AssertionError("scan emitted a map that fails re-verification")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +229,7 @@ def search_homogeneous_nonadditive(config: SearchConfig) -> SearchResult:
     witness_map = report = None
     if config.mode != "count_only" and first_bad is not None:
         witness_map = tables.orbit_map(first_bad)
-        hom = check_homogeneous(witness_map, "exhaustive")
-        report = check_additive(witness_map, "exhaustive")
-        if hom.witness is not None or report.witness is None:
-            raise AssertionError("search emitted a map that fails re-verification")
+        report = _reverify(witness_map, check_homogeneous, check_additive)
     return SearchResult(
         field_descriptor=field.descriptor(),
         domain_dim=du,
@@ -289,7 +284,8 @@ def scan_additive_tables(
     field: Field, du: int, dv: int, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ) -> TableScanReport:
     """Enumerate every table map F^du -> F^dv, keep the additive ones, and
-    test each survivor for exhaustive homogeneity."""
+    test each survivor for exhaustive homogeneity; the first survivor that
+    fails is re-verified through the map checkers before it is returned."""
     total, tables = _guarded_tables(field, du, dv, False, max_candidates)
     additive = bad = 0
     first_bad = None
@@ -301,6 +297,8 @@ def scan_additive_tables(
             bad += 1
             if first_bad is None:
                 first_bad = tables.table_map(phi)
+    if first_bad is not None:
+        _reverify(first_bad, check_additive, check_homogeneous)
     return TableScanReport(
         field_descriptor=field.descriptor(),
         domain_dim=du,

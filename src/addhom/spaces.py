@@ -86,11 +86,6 @@ class VectorSpace:
         self._check(v)
         return tuple(self.field.add(a, b) for a, b in zip(u, v))
 
-    def sub(self, u, v):
-        self._check(u)
-        self._check(v)
-        return tuple(self.field.sub(a, b) for a, b in zip(u, v))
-
     def neg(self, v):
         self._check(v)
         return tuple(self.field.neg(a) for a in v)

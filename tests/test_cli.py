@@ -195,6 +195,58 @@ def test_guard_refuses_at_once_with_one_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "body,du,prop,code",
+    [
+        ({"kind": "ratio"}, 2, "homogeneous", 3),
+        ({"kind": "ratio"}, 2, "additive", 3),
+        ({"kind": "orbit_table", "values": [["(0,0,1)", "(1)"]]}, 3, "additive", 2),
+    ],
+    ids=["ratio-homogeneous", "ratio-additive", "orbit-table-count"],
+)
+def test_unfinishable_check_refused_at_once(tmp_path, capsys, body, du, prop, code):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"field": "Fp:1000003", "domain_dim": du, "codomain_dim": 1, "map": body}
+    ))
+    start = time.perf_counter()
+    got, out, err = run(capsys, "check", "--input", str(path), "--property", prop)
+    assert time.perf_counter() - start < 1.0
+    assert (got, out) == (code, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--field", "Fp:3317044064679887385961981", "--domain-dim",
+         "1", "--codomain-dim", "1"],
+        ["field", "find-irreducible", "--p", "3317044064679887385961983",
+         "--degree", "2"],
+    ],
+    ids=["search", "find-irreducible"],
+)
+def test_modulus_past_the_primality_limit_exits_2(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_large_prime_modulus_reaches_the_guard(capsys):
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "search", "--field", "Fp:1000000000000000000000007",
+        "--domain-dim", "1", "--codomain-dim", "1",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert err.startswith("error: 1000000000000000000000007^1 candidates")
+
+
 def _table_spec(body):
     return json.dumps(
         {"field": "Fp:2", "domain_dim": 1, "codomain_dim": 1, "map": body}

@@ -1,6 +1,7 @@
 """Field arithmetic, irreducibility, and enumeration."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -12,6 +13,7 @@ from addhom.errors import (
     CharacteristicMismatch,
     DivisionByZero,
     InfiniteFieldError,
+    ModulusTooLarge,
     NonMonicModulus,
     NonPrimeModulus,
     ReducibleModulus,
@@ -20,12 +22,14 @@ from addhom.errors import (
     UnsupportedTower,
 )
 from addhom.fields import (
+    PRIME_LIMIT,
     ExtensionField,
     PrimeField,
     Rationals,
     find_irreducible,
     gf,
     is_irreducible,
+    is_prime,
     parse_field,
     poly_divmod,
     poly_mul,
@@ -53,6 +57,30 @@ def test_prime_field_construction():
 def test_composite_modulus_rejected():
     with pytest.raises(NonPrimeModulus):
         PrimeField(6)
+
+
+def test_miller_rabin_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [
+        n for n in range(-3, 10**5) if trial(n)
+    ]
+
+
+def test_miller_rabin_on_large_moduli():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base
+    # up to 31, so only the later bases expose them
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    start = time.perf_counter()
+    assert is_prime(10**24 + 7)
+    assert PrimeField(10**24 + 7).order == 10**24 + 7
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ModulusTooLarge):
+        PrimeField(PRIME_LIMIT)
+    with pytest.raises(ModulusTooLarge):
+        parse_field(f"Fp:{PRIME_LIMIT + 2}")
 
 
 def test_gf4_modulus_has_no_root_in_z2():
@@ -349,6 +377,25 @@ def test_irreducibility_matches_factorization_oracle(base, degree):
         assert is_irreducible(base, poly) == (
             not _reducible_by_full_trial_division(base, poly)
         )
+
+
+@pytest.mark.parametrize(
+    "base,degree",
+    [(Z2, 5), (Z2, 6), (Z5, 2), (Z5, 3), (PrimeField(7), 2), (PrimeField(7), 3)],
+    ids=["Fp:2-5", "Fp:2-6", "Fp:5-2", "Fp:5-3", "Fp:7-2", "Fp:7-3"],
+)
+def test_ben_or_matches_factorization_oracle(base, degree):
+    for poly in _monic_polys(base, degree):
+        assert is_irreducible(base, poly) == (
+            not _reducible_by_full_trial_division(base, poly)
+        ), poly
+
+
+def test_find_irreducible_degree_64_over_z2():
+    start = time.perf_counter()
+    poly = find_irreducible(Z2, 64)
+    assert time.perf_counter() - start < 1.0
+    assert poly == (1, 1, 0, 1, 1) + (0,) * 59 + (1,)  # x^64 + x^4 + x^3 + x + 1
 
 
 def test_find_irreducible_examples():

@@ -1,6 +1,7 @@
 """Counterexample constructions, property checkers, trace, serialization."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from addhom.errors import (
     DomainMismatch,
     InfiniteDomainExhaustive,
     NotAnExtension,
+    SearchSpaceTooLarge,
     SpecFormatError,
     ZeroDenominator,
 )
@@ -207,6 +209,31 @@ def test_exhaustive_on_infinite_domain_rejected():
 def test_default_strategy_follows_finiteness():
     assert check_additive(build_char2_indicator()).verdict == "violated"
     assert check_additive(build_ratio_map(Q)).witness is not None
+
+
+def test_exhaustive_checks_refuse_past_the_limit():
+    m = build_ratio_map(PrimeField(1000003))
+    start = time.perf_counter()
+    for check, k in ((check_additive, 4), (check_homogeneous, 3), (check_linear, 4)):
+        for strategy in (None, EXHAUSTIVE):
+            with pytest.raises(
+                SearchSpaceTooLarge,
+                match=rf"^1000003\^{k} pairs exceed .*--strategy sampled$",
+            ):
+                check(m, strategy)
+    assert time.perf_counter() - start < 1.0
+    assert check_homogeneous(m, Sampled(samples=20)).holds
+    # the largest exhaustive check the benchmark runs, 25^4 pairs, still runs
+    assert check_additive(build_ratio_map(gf(5, 2))).verdict == "violated"
+
+
+def test_orbit_table_value_count_checked_before_enumeration():
+    spec = {"field": "Fp:1000003", "domain_dim": 3, "codomain_dim": 1,
+            "map": {"kind": "orbit_table", "values": [["(0,0,1)", "(1)"]]}}
+    start = time.perf_counter()
+    with pytest.raises(SpecFormatError, match="every orbit exactly once"):
+        map_from_dict(spec)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_identity_table_map_is_linear():

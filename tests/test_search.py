@@ -294,6 +294,26 @@ def test_gf4_contrast_has_additive_nonhomogeneous_tables():
     assert check_linear(m, EXHAUSTIVE).witness.kind == "homogeneity"
 
 
+@pytest.mark.parametrize(
+    "field,du,dv", [(Z2, 2, 1), (Z3, 1, 2), (GF4, 1, 1)],
+    ids=["Z2-2-1", "Z3-1-2", "GF4-1-1"],
+)
+def test_constraint_lists_match_table_oracles(field, du, dv):
+    tables = search._IndexTables(VectorSpace(field, du), VectorSpace(field, dv))
+    for dom, cod, table in _all_table_maps(field, du, dv):
+        phi = [tables.cvecs.index(table[v]) for v in tables.dvecs]
+        assert tables.is_additive(phi) == _table_is_additive(dom, cod, table)
+        assert tables.is_homogeneous(phi) == _table_is_homogeneous(
+            field, dom, cod, table
+        )
+
+
+def test_table_scan_reverifies_its_counterexample(monkeypatch):
+    monkeypatch.setattr(search._IndexTables, "is_homogeneous", lambda *a: False)
+    with pytest.raises(AssertionError, match="re-verification"):
+        scan_additive_tables(GF4, 1, 1)
+
+
 def test_table_scan_guard():
     with pytest.raises(SearchSpaceTooLarge):
         scan_additive_tables(Z5, 3, 3)
