@@ -5,6 +5,8 @@ Exit codes:
   1  the property is violated (a witness is on stdout) or no witness exists
   2  usage or input-format error
   3  resource guard tripped (search space or exhaustive check too large)
+  141  stdout was closed before the output was written (128 + SIGPIPE);
+       nothing is printed on stderr
 
 Subcommands: field find-irreducible, check, counterexample, trace, search,
 verify-theorem1.  All verdict-bearing output is available as JSON.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import AddhomError, SearchSpaceTooLarge, SpecFormatError
@@ -44,6 +47,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 
 def _emit_json(payload: dict) -> None:
@@ -293,10 +297,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except SearchSpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except BrokenPipeError:
+        # the reader went away: nothing is left to say, and the interpreter's
+        # final flush of what stdout still buffers must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (AddhomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,15 +35,17 @@ from .errors import (
     DEFAULT_MAX_CANDIDATES,
     CharacteristicMismatch,
     CharacteristicTwo,
+    DimensionMismatch,
     DomainMismatch,
     InfiniteDomainExhaustive,
+    InfiniteFieldError,
     NotAnExtension,
     SearchSpaceTooLarge,
     SpecFormatError,
     ZeroDenominator,
 )
 from .fields import ExtensionField, Field, PrimeField, Rationals, parse_field
-from .spaces import VectorSpace
+from .spaces import VectorSpace, split_top_level
 
 
 @dataclass(frozen=True)
@@ -493,38 +495,15 @@ def map_from_dict(d: dict) -> VectorMap:
 
 
 def _decode_map(d: dict) -> VectorMap:
+    """Every check that needs no space runs before one is built: a
+    VectorSpace holds a zero vector of its dimension, which is untrusted."""
     field = parse_field(d["field"])
     du = int(d["domain_dim"])
     dv = int(d["codomain_dim"])
     body = d["map"]
     kind = body["kind"]
-    domain = VectorSpace(field, du)
-    codomain = VectorSpace(field, dv)
-    if kind == "table":
-        entries = _decode_pairs(
-            domain, codomain, body["entries"],
-            "table entries must be [input, output] pairs", "table input",
-        )
-        return TableMap(domain, codomain, entries)
-    if kind == "orbit_table":
-        by_rep = _decode_pairs(
-            domain, codomain, body["values"],
-            "orbit values must be [rep, value] pairs", "orbit representative",
-        )
-        # a finite domain has (q^du - 1)/(q - 1) >= 2^(du - 1) orbits:
-        # compare bit lengths before counting them, and count them before
-        # listing them
-        q, n = field.order, len(by_rep)
-        if field.is_finite and (
-            du - 1 > n.bit_length() or (q**du - 1) // (q - 1) != n
-        ):
-            raise SpecFormatError("orbit table must cover every orbit exactly once")
-        orbits = domain.orbits()
-        if any(o.representative not in by_rep for o in orbits):
-            raise SpecFormatError("orbit table must cover every orbit exactly once")
-        return OrbitTableMap(
-            domain, codomain, [by_rep[o.representative] for o in orbits]
-        )
+    if min(du, dv) < 1:
+        raise DimensionMismatch("dimension must be >= 1")
     if kind == "klinear_extension":
         if not isinstance(field, ExtensionField):
             raise SpecFormatError("klinear_extension needs an extension field")
@@ -540,7 +519,43 @@ def _decode_map(d: dict) -> VectorMap:
         if field.descriptor() != "Fp:2" or du != 2 or dv != 1:
             raise SpecFormatError("indicator maps Z_2^2 -> Z_2")
         return IndicatorMap()
-    raise SpecFormatError(f"unknown map kind {kind!r}")
+    if kind == "table":
+        pairs = body["entries"]
+        shape = "table entries must be [input, output] pairs"
+    elif kind == "orbit_table":
+        pairs = body["values"]
+        shape = "orbit values must be [rep, value] pairs"
+    else:
+        raise SpecFormatError(f"unknown map kind {kind!r}")
+    if not field.is_finite:
+        raise InfiniteFieldError(f"{kind} maps need a finite field, not {field}")
+    # a table lists q^du >= 2^du vectors, an orbit table (q^du - 1)/(q - 1)
+    # >= 2^(du - 1) orbits: compare bit lengths before computing the count
+    q, n = field.order, len(pairs)
+    if kind == "table":
+        if du > n.bit_length() or q**du != n:
+            raise SpecFormatError(f"table must list all {q}^{du} domain vectors")
+    elif du - 1 > n.bit_length() or (q**du - 1) // (q - 1) != n:
+        raise SpecFormatError("orbit table must cover every orbit exactly once")
+    if len(pairs[0]) != 2:
+        raise SpecFormatError(shape)
+    value = pairs[0][1].strip()
+    if value[:1] == "(" and value[-1:] == ")":
+        k = len(split_top_level(value[1:-1]))
+        if k != dv:
+            raise SpecFormatError(
+                f"the first value has dimension {k}, not codomain_dim {dv}"
+            )
+    domain = VectorSpace(field, du)
+    codomain = VectorSpace(field, dv)
+    if kind == "table":
+        entries = _decode_pairs(domain, codomain, pairs, shape, "table input")
+        return TableMap(domain, codomain, entries)
+    by_rep = _decode_pairs(domain, codomain, pairs, shape, "orbit representative")
+    orbits = domain.orbits()
+    if any(o.representative not in by_rep for o in orbits):
+        raise SpecFormatError("orbit table must cover every orbit exactly once")
+    return OrbitTableMap(domain, codomain, [by_rep[o.representative] for o in orbits])
 
 
 def _decode_pairs(domain, codomain, pairs, shape: str, name: str) -> dict:

@@ -7,10 +7,11 @@ Two scans:
     filters by exhaustive additivity, and reports how many homogeneous maps
     are additive and the canonically-first one that is not;
 
-  * the raw table scan enumerates every map F^du -> F^dv, filters by
-    exhaustive additivity, and checks each survivor for homogeneity --
-    over a prime field no survivor may fail, over a proper extension some
-    must.
+  * the raw table scan walks the maps F^du -> F^dv depth first, one table
+    position at a time, and cuts every prefix that already breaks
+    additivity, so only the p^(d*du*d*dv) additive tables are reached out
+    of (q^dv)^(q^du); each is checked for homogeneity -- over a prime field
+    no survivor may fail, over a proper extension some must.
 
 Both test a candidate, given as the list of its value indices, against
 flat constraint lists built once per call: (i, j, i+j) for additivity and
@@ -280,18 +281,45 @@ class TableScanReport:
         }
 
 
+def _additive_tables(tables: _IndexTables):
+    """Yield every additive value-index table in itertools.product order
+    (position 0 slowest, values by rank).  A depth-first walk assigns one
+    position at a time and tests each constraint (i, j, i+j) once its
+    deepest index is set, so a failing prefix cuts its whole subtree.  It
+    is a loop, not a recursion: its depth is q^du.  The yielded list is
+    reused; copy it to keep it."""
+    n, m, cadd = len(tables.dvecs), len(tables.cvecs), tables.cadd
+    checks = [[] for _ in range(n)]
+    for c in tables.sums:
+        checks[max(c)].append(c)
+    phi = [-1] * n
+    d = 0
+    while d >= 0:
+        phi[d] += 1
+        if phi[d] == m:
+            phi[d] = -1
+            d -= 1
+            continue
+        for i, j, k in checks[d]:
+            if cadd[phi[i]][phi[j]] != phi[k]:
+                break
+        else:
+            if d == n - 1:
+                yield phi
+            else:
+                d += 1
+
+
 def scan_additive_tables(
     field: Field, du: int, dv: int, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ) -> TableScanReport:
-    """Enumerate every table map F^du -> F^dv, keep the additive ones, and
-    test each survivor for exhaustive homogeneity; the first survivor that
-    fails is re-verified through the map checkers before it is returned."""
+    """Walk the table maps F^du -> F^dv down to the additive ones and test
+    each for exhaustive homogeneity; the first that fails is re-verified
+    through the map checkers before it is returned."""
     total, tables = _guarded_tables(field, du, dv, False, max_candidates)
     additive = bad = 0
     first_bad = None
-    for phi in itertools.product(range(len(tables.cvecs)), repeat=len(tables.dvecs)):
-        if not tables.is_additive(phi):
-            continue
+    for phi in _additive_tables(tables):
         additive += 1
         if not tables.is_homogeneous(phi):
             bad += 1

@@ -1,15 +1,22 @@
 """CLI surface: subcommands, exit codes, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import addhom
 from addhom.cli import main
+from addhom.errors import AddhomError
 from addhom.maps import (
     EXHAUSTIVE,
     build_theorem1_counterexample,
     check_homogeneous,
+    map_from_dict,
     map_from_json,
     report_to_dict,
 )
@@ -272,3 +279,57 @@ def test_malformed_spec_exits_2(tmp_path, capsys, content):
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    env = {"PYTHONPATH": str(Path(addhom.__file__).resolve().parents[1])}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "addhom.cli", "verify-theorem1", "--p", "3",
+             "--domain-dim", "2", "--codomain-dim", "1", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+_HUGE = 10**8
+
+
+@pytest.mark.parametrize(
+    "du,dv,body",
+    [
+        (_HUGE, 1, {"kind": "table", "entries": []}),
+        (1, _HUGE, {"kind": "table",
+                    "entries": [["(0)", "(0)"], ["(1)", "(1)"], ["(2)", "(2)"]]}),
+        (_HUGE, 1, {"kind": "orbit_table", "values": [["(1)", "(1)"]]}),
+        (1, _HUGE, {"kind": "orbit_table", "values": [["(1)", "(1)"]]}),
+        (_HUGE, 1, {"kind": "ratio"}),
+        (2, _HUGE, {"kind": "ratio"}),
+    ],
+    ids=["table-domain", "table-codomain", "orbit-domain", "orbit-codomain",
+         "ratio-domain", "ratio-codomain"],
+)
+def test_huge_spec_dimension_refused_before_building_spaces(
+    tmp_path, capsys, du, dv, body
+):
+    spec = {"field": "Fp:3", "domain_dim": du, "codomain_dim": dv, "map": body}
+    start = time.perf_counter()
+    with pytest.raises(AddhomError) as exc:
+        map_from_dict(spec)
+    assert len(str(exc.value)) < 200
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "check", "--input", str(path),
+                         "--property", "additive")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert len(lines[0]) < 200

@@ -342,3 +342,70 @@ def test_guard_limit_is_inclusive():
     assert scan_additive_tables(Z2, 2, 1, max_candidates=16).tables_total == 16
     with pytest.raises(SearchSpaceTooLarge, match=r"^2\^4 tables"):
         scan_additive_tables(Z2, 2, 1, max_candidates=15)
+
+
+# pruned raw table scan ---------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "field,du,dv",
+    [(Z2, 1, 1), (Z2, 2, 1), (Z2, 1, 2), (Z2, 2, 2), (Z3, 1, 1), (Z3, 1, 2),
+     (GF4, 1, 1)],
+    ids=["Z2-1-1", "Z2-2-1", "Z2-1-2", "Z2-2-2", "Z3-1-1", "Z3-1-2", "GF4-1-1"],
+)
+def test_table_scan_matches_raw_table_bruteforce(field, du, dv):
+    from addhom.maps import TableMap
+
+    additive = bad = 0
+    first = None
+    # itertools.product order: the first hit is the lexicographically first
+    for dom, cod, table in _all_table_maps(field, du, dv):
+        if not _table_is_additive(dom, cod, table):
+            continue
+        additive += 1
+        if not _table_is_homogeneous(field, dom, cod, table):
+            bad += 1
+            if first is None:
+                first = map_to_dict(TableMap(dom, cod, table))
+    report = scan_additive_tables(field, du, dv)
+    # additive tables are the Z_p-linear maps: p^(d*du * d*dv) of them
+    d = 2 if field is GF4 else 1
+    assert report.additive_count == additive == field.characteristic ** (
+        d * du * d * dv
+    )
+    assert report.additive_nonhomogeneous_count == bad
+    got = report.first_nonhomogeneous
+    assert (map_to_dict(got) if got else None) == first
+    assert (first is None) == (field is not GF4)
+
+
+@pytest.mark.parametrize(
+    "field,du,dv,additive,bad",
+    [(Z3, 2, 2, 81, 0), (GF4, 2, 1, 256, 240)],
+    ids=["Z3-2-2", "GF4-2-1"],
+)
+def test_table_scan_reaches_past_the_default_guard(field, du, dv, additive, bad):
+    # 3^36 (3.9e8) and 4^16 (4.3e9) tables, opened by an explicit limit
+    tables = field.order ** (dv * field.order**du)
+    assert tables > search.DEFAULT_MAX_CANDIDATES
+    start = time.perf_counter()
+    report = scan_additive_tables(field, du, dv, max_candidates=tables)
+    assert time.perf_counter() - start < 1.0
+    assert report.tables_total == tables
+    assert report.additive_count == additive
+    assert report.additive_nonhomogeneous_count == bad
+
+
+def test_table_scan_stack_does_not_grow_with_the_domain():
+    # 128 table positions, walked under a limit 100 frames above this one
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        report = verify_theorem1_prime(Z2, 7, 1, max_candidates=2**128)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.additive_count == 2**7
+    assert report.additive_nonhomogeneous_count == 0
