@@ -12,7 +12,8 @@ values so equality and hashing just work:
 Finite fields carry a canonical element order, "rank": residues by value,
 extension elements by sum(rank(c_i) * p**i) over ascending coefficients.
 Everything downstream that promises a deterministic "first witness" relies
-on this order.
+on this order, and FieldRows computes on it: addition and multiplication
+of ranks, for the exhaustive checkers and the search's index tables.
 """
 
 from __future__ import annotations
@@ -584,6 +585,65 @@ class ExtensionField(Field):
         if isinstance(self.base, PrimeField):
             return f"Fq:{self.base.p}:{coeffs}"
         return f"Qext:{coeffs}"
+
+
+# ---------------------------------------------------------------------------
+# rank rows: a finite field's addition and multiplication by element rank
+# ---------------------------------------------------------------------------
+
+def rank_product(rows, base: int) -> list:
+    """The ranks of the tuples in the product of rows, the first row
+    slowest: row entries x then y give x * base + y."""
+    out = rows[0]
+    for row in rows[1:]:
+        out = [x * base + y for x in out for y in row]
+    return out
+
+
+class FieldRows:
+    """Addition and multiplication of a finite field on element ranks: the
+    row of rank a lists rank(a + b), or rank(a * b), for every rank b.
+
+    A rank's base-p digits are its Z_p coefficients, so an addition row is
+    the product of Z_p rows, digit by digit, with no field call.
+    Multiplication goes through the logarithms of a primitive element g,
+    the first element by rank of order q - 1: exp[k] = rank(g^k) and
+    log[exp[k]] = k (the Zech construction; Lidl and Niederreiter, Finite
+    Fields, ch. 9).  Building them costs O(q) field operations; rows are
+    built on request and not kept."""
+
+    def __init__(self, field: Field):
+        q, one = field.order, field.one
+        self.q, self.p = q, field.characteristic
+        self.digits = field.degree if isinstance(field, ExtensionField) else 1
+        self._cycle = list(range(self.p)) * 2
+        for g in range(1, q):
+            gen, x, exp = field.element_from_rank(g), one, []
+            while True:
+                exp.append(field.rank(x))
+                x = field.mul(x, gen)
+                if x == one:
+                    break
+            if len(exp) == q - 1:
+                break
+        self.exp = exp
+        self.log = [0] * q
+        for k, r in enumerate(exp):
+            self.log[r] = k
+
+    def add(self, a: int) -> list:
+        p, rows = self.p, []
+        for _ in range(self.digits):
+            a, t = divmod(a, p)
+            rows.append(self._cycle[t:t + p])
+        return rank_product(rows[::-1], p)
+
+    def mul(self, a: int) -> list:
+        if a == 0:
+            return [0] * self.q
+        k = self.log[a]
+        turned = self.exp[k:] + self.exp[:k]
+        return [0] + [turned[b] for b in self.log[1:]]
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,21 @@ Five map representations cover everything we need:
 
 Checkers scan ordered pairs in canonical enumeration order and report the
 first violation as a witness, so identical inputs always produce identical
-reports.  The sampled strategy checks a fixed list of corner pairs first
-(origin, standard basis pairs, sign flips, coordinate-sum-zero probes) and
-only then the pseudo-random draws; corners are what pin the published
-witnesses on infinite fields.
+reports.  An exhaustive check runs on element ranks: it tabulates phi by
+domain rank, checking each value against the codomain once, and compares
+whole rows of pairs through rank rows built inside the call (vector
+addition and scalar action as products of field rows, see
+spaces.SpaceRows).  Only the first failing pair is decoded to field
+elements, and its witness is computed on them, with the tuple arithmetic
+of the spaces.  The sampled strategy runs on that tuple arithmetic
+throughout: it checks a fixed list of corner pairs first (origin, standard
+basis pairs, sign flips, coordinate-sum-zero probes) and only then the
+pseudo-random draws; corners are what pin the published witnesses on
+infinite fields.
 
 Within one checker call each distinct input is evaluated at most once (a
-dict local to the call; nothing outlives it), so a map must be a function
-of its input alone.
+rank table or a dict local to the call; nothing outlives it), so a map
+must be a function of its input alone.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .fields import ExtensionField, Field, PrimeField, Rationals, parse_field
-from .spaces import VectorSpace, split_top_level
+from .spaces import SpaceRows, VectorSpace, split_top_level
 
 
 @dataclass(frozen=True)
@@ -292,35 +299,94 @@ def _homogeneity_corner_pairs(m: VectorMap):
     return [(lam, u) for lam in lams for u in [z, *basis, *probes]]
 
 
-def _additivity_pairs(m: VectorMap, strategy):
-    if strategy == EXHAUSTIVE:
-        vecs = list(m.domain.vectors())
-        for u1 in vecs:
-            for u2 in vecs:
-                yield u1, u2
-        return
+def _additivity_pairs(m: VectorMap, strategy: Sampled):
     yield from _additivity_corner_pairs(m.domain)
     rng = random.Random(strategy.seed)
     for _ in range(strategy.samples):
         yield m.domain.random_vector(rng), m.domain.random_vector(rng)
 
 
-def _homogeneity_pairs(m: VectorMap, strategy):
-    if strategy == EXHAUSTIVE:
-        vecs = list(m.domain.vectors())
-        for lam in m.domain.field.elements():
-            for u in vecs:
-                yield lam, u
-        return
+def _homogeneity_pairs(m: VectorMap, strategy: Sampled):
     yield from _homogeneity_corner_pairs(m)
     rng = random.Random(strategy.seed)
     for _ in range(strategy.samples):
         yield m.domain.field.random_element(rng), m.domain.random_vector(rng)
 
 
-def _memo(m: VectorMap):
-    """m.evaluate behind a dict filled on first use, so that one checker
-    call evaluates each distinct input at most once."""
+class _RankTable:
+    """phi over a finite domain for one exhaustive check call, by rank:
+    cols[c][r] is the rank of coordinate c of phi(v_r), v_r the domain
+    vector of rank r.  Inputs are evaluated in rank order, each once, and
+    each value is checked against the codomain on its first evaluation."""
+
+    def __init__(self, m: VectorMap):
+        self.m = m
+        self.rows = SpaceRows(m.domain)
+        self.size = m.domain.size
+        self.cols = [[] for _ in range(m.codomain.dim)]
+
+    def _extend(self, n: int):
+        dom, cod, evaluate = self.m.domain, self.m.codomain, self.m.evaluate
+        for r in range(len(self.cols[0]), n):
+            ranks = cod.coordinate_ranks(evaluate(dom.vector_from_rank(r)))
+            for col, c in zip(self.cols, ranks):
+                col.append(c)
+
+    def value(self, v):
+        """phi(v), decoded from its ranks."""
+        r, field = self.m.domain.rank(v), self.m.codomain.field
+        return tuple(field.element_from_rank(col[r]) for col in self.cols)
+
+    def sum_row(self, i: int):
+        """Pairs (v_i, v_j): the rank of v_i + v_j by j, and per codomain
+        coordinate c the field row that adds coordinate c of phi(v_i)."""
+        rows = self.rows
+        return rows.add(i), [rows.field_add(col[i]) for col in self.cols]
+
+    def scale_row(self, s: int):
+        """Pairs (lam, v_j), lam of rank s: the rank of lam * v_j by j, and
+        per codomain coordinate the field row that scales by lam."""
+        mul = self.rows.field.mul(s)
+        return self.rows.act(s), [mul] * len(self.cols)
+
+    def first_failure(self, row, outer: int, decode):
+        """Scan rows 0..outer-1 in order, row(i) giving (index, field rows):
+        pair (i, j) fails when some coordinate column has col[index[j]] !=
+        frow[col[j]].  Returns (pairs before the first failure, [the
+        failing pair decoded]), or (all pairs, []) when none fails.
+
+        Pair (0, 0) of either scan holds iff phi(0) = 0, and then so does
+        the rest of row 0 (phi(0 + v) = phi(0) + phi(v), phi(0 * v) =
+        0 * phi(v)), whose pairs read every input in rank order.  So phi(0)
+        is evaluated alone first, then every input, as the pair scan
+        would; each later row is compared a whole column at a time."""
+        n, cols = self.size, self.cols
+        self._extend(1)
+        if any(col[0] for col in cols):
+            return 0, [(decode(0), self.m.domain.vector_from_rank(0))]
+        self._extend(n)
+        for i in range(outer):
+            index, frows = row(i)
+            first = n
+            for col, frow in zip(cols, frows):
+                lhs = list(map(col.__getitem__, index))
+                rhs = list(map(frow.__getitem__, col))
+                if lhs != rhs:
+                    first = min(first, next(
+                        j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b
+                    ))
+            if first < n:
+                pair = (decode(i), self.m.domain.vector_from_rank(first))
+                return i * n + first, [pair]
+        return outer * n, []
+
+
+def _memo(m: VectorMap, strategy):
+    """What one checker call evaluates m through, so that it evaluates each
+    distinct input at most once: a rank table for an exhaustive scan,
+    otherwise m.evaluate behind a dict filled on first use."""
+    if strategy == EXHAUSTIVE:
+        return _RankTable(m)
     values = {}
 
     def evaluate(v):
@@ -336,9 +402,17 @@ def _verdict(strategy) -> str:
     return "holds_exhaustive" if strategy == EXHAUSTIVE else "holds_on_samples"
 
 
-def _scan_additive(m: VectorMap, strategy, evaluate) -> CheckReport:
-    checked = 0
-    for u1, u2 in _additivity_pairs(m, strategy):
+def _scan_additive(m: VectorMap, strategy, memo) -> CheckReport:
+    """An exhaustive scan finds its first failing pair on ranks; that pair,
+    like every sampled one, is then evaluated on field elements."""
+    if strategy == EXHAUSTIVE:
+        checked, pairs = memo.first_failure(
+            memo.sum_row, memo.size, m.domain.vector_from_rank
+        )
+        evaluate = memo.value
+    else:
+        checked, pairs, evaluate = 0, _additivity_pairs(m, strategy), memo
+    for u1, u2 in pairs:
         checked += 1
         lhs = evaluate(m.domain.add(u1, u2))
         rhs = m.codomain.add(evaluate(u1), evaluate(u2))
@@ -348,9 +422,16 @@ def _scan_additive(m: VectorMap, strategy, evaluate) -> CheckReport:
     return CheckReport("additive", _verdict(strategy), None, checked)
 
 
-def _scan_homogeneous(m: VectorMap, strategy, evaluate) -> CheckReport:
-    checked = 0
-    for lam, u in _homogeneity_pairs(m, strategy):
+def _scan_homogeneous(m: VectorMap, strategy, memo) -> CheckReport:
+    if strategy == EXHAUSTIVE:
+        field = m.domain.field
+        checked, pairs = memo.first_failure(
+            memo.scale_row, field.order, field.element_from_rank
+        )
+        evaluate = memo.value
+    else:
+        checked, pairs, evaluate = 0, _homogeneity_pairs(m, strategy), memo
+    for lam, u in pairs:
         checked += 1
         lhs = evaluate(m.domain.scalar_mul(lam, u))
         rhs = m.codomain.scalar_mul(lam, evaluate(u))
@@ -363,24 +444,24 @@ def _scan_homogeneous(m: VectorMap, strategy, evaluate) -> CheckReport:
 def check_additive(m: VectorMap, strategy=None) -> CheckReport:
     """Scan pairs (u1, u2) for phi(u1+u2) != phi(u1)+phi(u2)."""
     strategy = _resolve_strategy(m, strategy, 2 * m.domain.dim)
-    return _scan_additive(m, strategy, _memo(m))
+    return _scan_additive(m, strategy, _memo(m, strategy))
 
 
 def check_homogeneous(m: VectorMap, strategy=None) -> CheckReport:
     """Scan pairs (lam, u) for phi(lam*u) != lam*phi(u)."""
     strategy = _resolve_strategy(m, strategy, m.domain.dim + 1)
-    return _scan_homogeneous(m, strategy, _memo(m))
+    return _scan_homogeneous(m, strategy, _memo(m, strategy))
 
 
 def check_linear(m: VectorMap, strategy=None) -> CheckReport:
     """Additivity first, then homogeneity; first witness wins.  Both scans
     share one memo, so each input is evaluated at most once in all."""
     strategy = _resolve_strategy(m, strategy, 2 * m.domain.dim)
-    evaluate = _memo(m)
-    add = _scan_additive(m, strategy, evaluate)
+    memo = _memo(m, strategy)
+    add = _scan_additive(m, strategy, memo)
     if add.witness is not None:
         return CheckReport("linear", "violated", add.witness, add.pairs_checked)
-    hom = _scan_homogeneous(m, strategy, evaluate)
+    hom = _scan_homogeneous(m, strategy, memo)
     checked = add.pairs_checked + hom.pairs_checked
     if hom.witness is not None:
         return CheckReport("linear", "violated", hom.witness, checked)

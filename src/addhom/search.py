@@ -14,11 +14,11 @@ Two scans:
     no survivor may fail, over a proper extension some must.
 
 Both test a candidate, given as the list of its value indices, against
-flat constraint lists built once per call: (i, j, i+j) for additivity and
-(scalar action, i, s*i) for homogeneity, so the inner loops never touch
-field elements.  Counts are exact Python ints.  Both scans run in one
-process, in canonical order; the `jobs` setting is accepted for
-compatibility and selects nothing.
+flat constraint lists built once per call from the spaces' rank rows:
+(i, j, i+j) for additivity and (scalar action, i, s*i) for homogeneity,
+so the inner loops never touch field elements.  Counts are exact Python
+ints.  Both scans run in one process, in canonical order; the `jobs`
+setting is accepted for compatibility and selects nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .maps import (
     map_to_dict,
     report_to_dict,
 )
-from .spaces import VectorSpace
+from .spaces import SpaceRows, VectorSpace
 
 
 def count_homogeneous(field: Field, du: int, dv: int) -> int:
@@ -64,14 +64,14 @@ def count_linear(field: Field, du: int, dv: int) -> int:
 # integer index tables
 # ---------------------------------------------------------------------------
 
-def _space_tables(space: VectorSpace, scalars):
-    """A finite space's vectors (index 0 is zero) and its tables by index:
-    add[a][b] indexes vecs[a] + vecs[b], act[s][v] scalars[s] * vecs[v]."""
-    vecs = list(space.vectors())
-    index = {v: i for i, v in enumerate(vecs)}
-    add = [[index[space.add(a, b)] for b in vecs] for a in vecs]
-    act = [[index[space.scalar_mul(s, v)] for v in vecs] for s in scalars]
-    return vecs, add, act
+def _space_tables(space: VectorSpace):
+    """A finite space's vectors by rank (index 0 is zero) and its tables by
+    index, from its rank rows: add[a][b] indexes vecs[a] + vecs[b], act[s][v]
+    the scalar of rank s times vecs[v]."""
+    rows = SpaceRows(space)
+    add = [rows.add(i) for i in range(space.size)]
+    act = [rows.act(s) for s in range(space.field.order)]
+    return list(space.vectors()), add, act
 
 
 class _IndexTables:
@@ -81,10 +81,9 @@ class _IndexTables:
 
     def __init__(self, domain: VectorSpace, codomain: VectorSpace):
         self.domain, self.codomain = domain, codomain
-        scalars = list(domain.field.elements())
-        self.dvecs, dadd, dact = _space_tables(domain, scalars)
-        self.cvecs, self.cadd, cact = _space_tables(codomain, scalars)
-        n, q = len(self.dvecs), len(scalars)
+        self.dvecs, dadd, dact = _space_tables(domain)
+        self.cvecs, self.cadd, cact = _space_tables(codomain)
+        n, q = len(self.dvecs), domain.field.order
         self.sums = [(i, j, dadd[i][j]) for i in range(n) for j in range(i, n)]
         self.scales = [(cact[s], i, dact[s][i]) for s in range(q) for i in range(n)]
         self.orbits = domain.orbits()

@@ -4,7 +4,9 @@ Vectors are plain tuples of field elements.  Finite spaces enumerate in
 lexicographic coordinate-rank order with coordinate 0 slowest.  Nonzero
 vectors fall into scalar orbits {lam * v : lam != 0}; each orbit has a
 unique canonical representative whose first nonzero coordinate is 1, which
-is what makes orbit-table maps well-defined.
+is what makes orbit-table maps well-defined.  SpaceRows gives a finite
+space's addition and scalar action on vector ranks, for the exhaustive
+checkers and the search's index tables.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
     SpecFormatError,
     ZeroVector,
 )
-from .fields import Field
+from .fields import Field, FieldRows, rank_product
 
 
 @dataclass(frozen=True)
@@ -164,5 +166,44 @@ class VectorSpace:
     def random_vector(self, rng):
         return tuple(self.field.random_element(rng) for _ in range(self.dim))
 
+    def coordinate_ranks(self, v) -> tuple:
+        """v's coordinate ranks, after the checks that add and scalar_mul
+        make on an operand."""
+        self._check(v)
+        rank = self.field.rank
+        return tuple([rank(c) for c in v])
+
     def __repr__(self):
         return f"{self.field.descriptor()}^{self.dim}"
+
+
+class SpaceRows:
+    """Addition and scalar action of a finite space on vector ranks, in
+    vectors() order: add(i)[j] = rank(v_i + v_j), act(s)[j] = rank(s * v_j)
+    for the scalar of rank s.  With coordinate 0 slowest, a vector row is
+    the product of one field row per coordinate.  Field addition rows are
+    kept when dim >= 2, where all q^2 of their entries fit in one vector
+    row of q^dim; at dim 1 each is rebuilt on request."""
+
+    def __init__(self, space: VectorSpace):
+        self.field = FieldRows(space.field)
+        self.q, self.dim = space.field.order, space.dim
+        self._adds = {} if space.dim >= 2 else None
+
+    def field_add(self, a: int) -> list:
+        if self._adds is None:
+            return self.field.add(a)
+        row = self._adds.get(a)
+        if row is None:
+            row = self._adds[a] = self.field.add(a)
+        return row
+
+    def add(self, i: int) -> list:
+        q, rows = self.q, []
+        for _ in range(self.dim):
+            i, c = divmod(i, q)
+            rows.append(self.field_add(c))
+        return rank_product(rows[::-1], q)
+
+    def act(self, s: int) -> list:
+        return rank_product([self.field.mul(s)] * self.dim, self.q)

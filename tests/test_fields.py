@@ -24,6 +24,7 @@ from addhom.errors import (
 from addhom.fields import (
     PRIME_LIMIT,
     ExtensionField,
+    FieldRows,
     PrimeField,
     Rationals,
     find_irreducible,
@@ -468,6 +469,32 @@ def test_extension_mul_matches_polynomial_division_sampled(field):
         prod = field.mul(a, b)
         assert prod == _reduced_product(field, a, b)
         assert all(isinstance(c, Fraction) for c in prod)
+
+
+# rank rows ------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "field",
+    [Z2, Z3, Z5, PrimeField(7), PrimeField(23), GF4, GF8,
+     ExtensionField(Z2, (1, 0, 1, 1)), GF9, gf(5, 2), gf(3, 3), gf(3, 4)],
+    ids=lambda f: f.descriptor(),
+)
+def test_rank_rows_match_field_operations(field):
+    rows = FieldRows(field)
+    q, elems = field.order, list(field.elements())
+    assert sorted(rows.exp) == list(range(1, q))
+    assert all(rows.log[r] == k for k, r in enumerate(rows.exp))
+    # the primitive element: its first power back at 1 is the (q-1)-th
+    g = x = elems[rows.exp[1 % (q - 1)]]
+    order = 1
+    while x != field.one:
+        x, order = field.mul(x, g), order + 1
+    assert order == q - 1
+    for a, ea in enumerate(elems):
+        add, mul = rows.add(a), rows.mul(a)
+        for b, eb in enumerate(elems):
+            assert elems[add[b]] == field.add(ea, eb)
+            assert elems[mul[b]] == field.mul(ea, eb)
 
 
 # text encoding --------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Counterexample constructions, property checkers, trace, serialization."""
 
 import itertools
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,9 @@ import pytest
 from addhom.errors import (
     CharacteristicMismatch,
     CharacteristicTwo,
+    DimensionMismatch,
     DomainMismatch,
+    FieldMismatch,
     InfiniteDomainExhaustive,
     NotAnExtension,
     SearchSpaceTooLarge,
@@ -296,20 +300,28 @@ class CountingMap(VectorMap):
 
 def _unmemoized_check(m, prop, strategy):
     """Tests-local reference: the checkers' pair scan in the same pair
-    order, with three plain evaluations per pair.  Returns the report and
-    the number of evaluations."""
+    order, with three plain evaluations per pair and, when exhaustive, the
+    nested tuple enumeration of every pair.  Returns the report and the
+    number of evaluations."""
     counted = CountingMap(m)
     ev, dom, cod = counted.evaluate, m.domain, m.codomain
+    if strategy == EXHAUSTIVE:
+        vecs = list(dom.vectors())
+        sums = itertools.product(vecs, vecs)
+        scales = itertools.product(dom.field.elements(), vecs)
+    else:
+        sums = _additivity_pairs(m, strategy)
+        scales = _homogeneity_pairs(m, strategy)
     checked = 0
     if prop in ("additive", "linear"):
-        for u1, u2 in _additivity_pairs(m, strategy):
+        for u1, u2 in sums:
             checked += 1
             lhs, rhs = ev(dom.add(u1, u2)), cod.add(ev(u1), ev(u2))
             if lhs != rhs:
                 w = Witness("additivity", (u1, u2), lhs, rhs)
                 return CheckReport(prop, "violated", w, checked), counted.calls
     if prop in ("homogeneous", "linear"):
-        for lam, u in _homogeneity_pairs(m, strategy):
+        for lam, u in scales:
             checked += 1
             lhs, rhs = ev(dom.scalar_mul(lam, u)), cod.scalar_mul(lam, ev(u))
             if lhs != rhs:
@@ -383,6 +395,101 @@ def test_memo_does_not_outlive_a_call():
     first = counted.calls
     check_homogeneous(counted, EXHAUSTIVE)
     assert counted.calls == 2 * first == 8
+
+
+# rank scans against the tuple oracle ------------------------------------------------
+
+def _random_map(rng, field, du, dv, kind):
+    """A seeded map F^du -> F^dv: a random table, a random orbit table, or
+    a random linear table with one entry changed ("perturbed") or not."""
+    dom, cod = VectorSpace(field, du), VectorSpace(field, dv)
+    elems, cvecs = list(field.elements()), list(cod.vectors())
+    if kind == "orbit":
+        return OrbitTableMap(dom, cod, [rng.choice(cvecs) for _ in dom.orbits()])
+    if kind == "random":
+        return TableMap(dom, cod, {v: rng.choice(cvecs) for v in dom.vectors()})
+    mat = [[rng.choice(elems) for _ in range(du)] for _ in range(dv)]
+
+    def image(v):
+        out = []
+        for row in mat:
+            acc = field.zero
+            for a, x in zip(row, v):
+                acc = field.add(acc, field.mul(a, x))
+            out.append(acc)
+        return tuple(out)
+
+    entries = {v: image(v) for v in dom.vectors()}
+    if kind == "perturbed":
+        v = rng.choice(list(entries))
+        entries[v] = rng.choice([w for w in cvecs if w != entries[v]])
+    return TableMap(dom, cod, entries)
+
+
+@pytest.mark.parametrize("kind", ["random", "orbit", "perturbed", "linear"])
+@pytest.mark.parametrize(
+    "field", [Z2, Z3, Z5, GF4, GF8, GF9], ids=lambda f: f.descriptor()
+)
+def test_rank_scans_match_tuple_oracle(field, kind):
+    rng = random.Random(f"{field.descriptor()}:{kind}")
+    for du, dv in itertools.product((1, 2, 3), repeat=2):
+        # the tuple oracle is slow: maps whose scans run long (every linear
+        # table, the homogeneity of every orbit table) stay on small spaces
+        if field.order**du > {"random": 729, "perturbed": 125}.get(kind, 27):
+            continue
+        m = _random_map(rng, field, du, dv, kind)
+        for prop, check in CHECKERS.items():
+            counted = CountingMap(m)
+            report = check(counted, EXHAUSTIVE)
+            expected, plain_calls = _unmemoized_check(m, prop, EXHAUSTIVE)
+            assert report == expected, (du, dv, prop)
+            assert counted.calls <= min(plain_calls, m.domain.size)
+
+
+class BadValueMap(VectorMap):
+    """The identity on Z_3^2 -> Z_3^2, except one input's value."""
+
+    def __init__(self, at, value):
+        self.domain = self.codomain = VectorSpace(Z3, 2)
+        self.at, self.value = at, value
+
+    def evaluate(self, v):
+        return self.value if v == self.at else v
+
+
+@pytest.mark.parametrize("at", [(0, 0), (1, 2)])
+@pytest.mark.parametrize(
+    "value,error",
+    [((1, 2, 0), DimensionMismatch), ((1, 3), FieldMismatch)],
+    ids=["wrong-dimension", "off-field"],
+)
+@pytest.mark.parametrize("prop", list(CHECKERS))
+def test_rank_scans_check_each_value(prop, value, error, at):
+    m = BadValueMap(at, value)
+    with pytest.raises(error):
+        CHECKERS[prop](m, EXHAUSTIVE)
+    with pytest.raises(error):
+        _unmemoized_check(m, prop, EXHAUSTIVE)
+
+
+@pytest.mark.parametrize("check", [check_additive, check_homogeneous])
+def test_rank_scan_of_a_million_pairs_is_fast_and_small(check):
+    # 1009^2 pairs; a scan that kept every field row would hold 1009 rows
+    # of 1009 entries, several MB
+    space = VectorSpace(PrimeField(1009), 1)
+    m = TableMap(space, space, {v: v for v in space.vectors()})
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = check(m, EXHAUSTIVE)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "holds_exhaustive"
+    assert report.pairs_checked == 1009**2
+    assert elapsed < 2.0
+    assert peak < 2 * 2**20
 
 
 # phi(0) = 0 and orbit-table homogeneity ----------------------------------------

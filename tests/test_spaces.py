@@ -14,7 +14,7 @@ from addhom.errors import (
     ZeroVector,
 )
 from addhom.fields import ExtensionField, PrimeField, Rationals, gf
-from addhom.spaces import VectorSpace
+from addhom.spaces import SpaceRows, VectorSpace
 
 Q = Rationals()
 Z2 = PrimeField(2)
@@ -80,6 +80,20 @@ def test_rank_roundtrip():
     for r, v in enumerate(space.vectors()):
         assert space.rank(v) == r
         assert space.vector_from_rank(r) == v
+
+
+@pytest.mark.parametrize(
+    "field,dim", [(Z3, 2), (GF4, 2), (Z2, 3)], ids=["Z3-2", "GF4-2", "Z2-3"]
+)
+def test_rank_rows_match_vector_operations(field, dim):
+    space = VectorSpace(field, dim)
+    rows, vecs = SpaceRows(space), list(space.vectors())
+    for i, u in enumerate(vecs):
+        assert [vecs[k] for k in rows.add(i)] == [space.add(u, v) for v in vecs]
+    for s, lam in enumerate(field.elements()):
+        assert [vecs[k] for k in rows.act(s)] == [
+            space.scalar_mul(lam, v) for v in vecs
+        ]
 
 
 # canonical representatives ---------------------------------------------------
