@@ -9,6 +9,13 @@ values so equality and hashing just work:
   * Z_p         -> int in [0, p)
   * extensions  -> tuple of base elements, length = deg(m), ascending degree
 
+An extension multiplies and inverts on integer numerators: an operand over
+Q is cleared to ints over one common denominator (a Z_p element is already
+an int, over 1), the product is formed and folded through the modulus on
+ints, and each result coefficient becomes one reduced Fraction (or one
+residue mod p) at the end.  Fraction is canonical, so the results are the
+same values and bytes as per-coefficient Fraction arithmetic would give.
+
 Finite fields carry a canonical element order, "rank": residues by value,
 extension elements by sum(rank(c_i) * p**i) over ascending coefficients.
 Everything downstream that promises a deterministic "first witness" relies
@@ -459,11 +466,49 @@ def find_irreducible(base: PrimeField, degree: int):
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
+def _numerators(a):
+    """Integer numerators of a sequence of rationals over their least
+    common denominator, and that denominator."""
+    den = math.lcm(*(c.denominator for c in a))
+    return [c.numerator * (den // c.denominator) for c in a], den
+
+
+def _bareiss_solve(rows):
+    """Solve the nonsingular integer system [N | b] (d rows of d + 1 ints)
+    by fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968): every division is exact, and at the end each row reads
+    det * x_i in its last entry.  Returns (numerators, det), x_i = n_i / det
+    and det != 0 (its sign follows the row swaps)."""
+    d, prev = len(rows), 1
+    for k in range(d):
+        if not rows[k][k]:
+            r = next(r for r in range(k + 1, d) if rows[r][k])
+            rows[k], rows[r] = rows[r], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(d):
+            if i != k:
+                row = rows[i]
+                f = row[k]
+                for j in range(k + 1, d + 1):
+                    row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+                row[k] = 0
+        prev = pivot
+    return [row[d] for row in rows], prev
+
+
 class ExtensionField(Field):
     """base[x]/(modulus) for monic irreducible modulus over Q or Z_p.
 
     Elements are coefficient tuples of length deg(modulus), ascending degree.
     The generator is the class of x.
+
+    The modulus is kept as integer numerators M over their common
+    denominator L (L = 1 over Z_p).  mul forms the schoolbook product of
+    integer numerators and folds it through M.  inv over Q builds the
+    integer columns a * x^j mod m with the same fold and solves that d x d
+    system by fraction-free (Bareiss) elimination; over Z_p it runs
+    extended Euclid.  Only the final coefficients are made Fractions.
     """
 
     def __init__(self, base: Field, modulus):
@@ -490,6 +535,13 @@ class ExtensionField(Field):
         self.generator = tuple(
             base.one if i == 1 else base.zero for i in range(self.degree)
         )
+        # the modulus as integer numerators M over one denominator L; M_deg
+        # is L itself and is left out
+        if base.characteristic:
+            self._numer, self._denom = modulus[:-1], 1
+        else:
+            numer, self._denom = _numerators(modulus)
+            self._numer = tuple(numer[:-1])
 
     def _pad(self, coeffs):
         return tuple(coeffs) + (self.base.zero,) * (self.degree - len(coeffs))
@@ -501,28 +553,69 @@ class ExtensionField(Field):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        """Schoolbook product in one list of 2*deg - 1 coefficients; then,
-        from the top down, each x^k with k >= deg is folded through the
-        monic modulus m: x^k = -(m_0 x^(k-deg) + ... + m_(deg-1) x^(k-1))."""
-        base = self.base
-        zero, add, sub, mul = base.zero, base.add, base.sub, base.mul
-        d = self.degree
-        prod = [zero] * (2 * d - 1)
+        """Schoolbook product of the integer numerators, folded through the
+        modulus (_fold); one reduced Fraction per coefficient over Q, one
+        residue over Z_p."""
+        p = self.characteristic
+        if p:
+            den = 1
+        else:
+            a, da = _numerators(a)
+            b, db = _numerators(b)
+            den = da * db
+        prod = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
-            if x != zero:
-                for j, y in enumerate(b):
-                    prod[i + j] = add(prod[i + j], mul(x, y))
-        modulus = self.modulus
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c != zero:
-                for i in range(d):
-                    prod[k - d + i] = sub(prod[k - d + i], mul(c, modulus[i]))
-        return tuple(prod[:d])
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        den = self._fold(prod, den)
+        if p:
+            return tuple([n % p for n in prod])
+        return tuple([Fraction(n, den) for n in prod])
+
+    def _fold(self, prod, den: int) -> int:
+        """Reduce the integer polynomial prod / den modulo m = M / L in
+        place, down to its first deg entries, and return the new
+        denominator.  From the top down, x^k with k >= deg becomes x^(k-deg)
+        times x^deg = -(M_0 + ... + M_(deg-1) x^(deg-1)) / L, so when L != 1
+        the lower coefficients and den are scaled by L first.  Over Z_p the
+        folded coefficient is reduced mod p, which keeps the ints small."""
+        d, low, lead = self.degree, self._numer, self._denom
+        p = self.characteristic
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = prod.pop()
+            if p:
+                c %= p
+            if c:
+                if lead != 1:
+                    for i in range(k):
+                        prod[i] *= lead
+                    den *= lead
+                for i, n in enumerate(low, k - d):
+                    prod[i] -= c * n
+        return den
 
     def inv(self, a):
         if all(c == self.base.zero for c in a):
             raise DivisionByZero(f"1/0 in {self.descriptor()}")
+        if self.characteristic == 0:
+            # u = a^-1 solves a * u = 1 in the basis 1, x, ..., x^(deg-1).
+            # With a = A / den and the integer columns N_j = s_j (A x^j mod m),
+            # each the one before times x, folded (s_j collects the fold's
+            # factors L), w_j = u_j / s_j solves N w = den e_0 on ints
+            d = self.degree
+            col, den = _numerators(a)
+            rows = [[0] * d + [den if i == 0 else 0] for i in range(d)]
+            scales, scale = [], 1
+            for j in range(d):
+                if j:
+                    col = [0] + col
+                    scale = self._fold(col, scale)
+                for i, c in enumerate(col):
+                    rows[i][j] = c
+                scales.append(scale)
+            w, det = _bareiss_solve(rows)
+            return tuple([Fraction(n * s, det) for n, s in zip(w, scales)])
         # extended Euclid: u*a + v*modulus = gcd (a unit constant)
         r0, r1 = self.modulus, poly_trim(self.base, a)
         s0, s1 = (), (self.base.one,)
@@ -609,27 +702,43 @@ class FieldRows:
     Multiplication goes through the logarithms of a primitive element g,
     the first element by rank of order q - 1: exp[k] = rank(g^k) and
     log[exp[k]] = k (the Zech construction; Lidl and Niederreiter, Finite
-    Fields, ch. 9).  Building them costs O(q) field operations; rows are
-    built on request and not kept."""
+    Fields, ch. 9).  Building them costs O(q) field operations, paid on the
+    first mul() (or read of exp/log), so addition rows alone cost none;
+    rows are built on request and not kept."""
 
     def __init__(self, field: Field):
-        q, one = field.order, field.one
-        self.q, self.p = q, field.characteristic
+        self.field = field
+        self.q, self.p = field.order, field.characteristic
         self.digits = field.degree if isinstance(field, ExtensionField) else 1
         self._cycle = list(range(self.p)) * 2
-        for g in range(1, q):
-            gen, x, exp = field.element_from_rank(g), one, []
-            while True:
-                exp.append(field.rank(x))
-                x = field.mul(x, gen)
-                if x == one:
+        self._tables = None
+
+    @property
+    def exp(self) -> list:
+        return self._logs()[0]
+
+    @property
+    def log(self) -> list:
+        return self._logs()[1]
+
+    def _logs(self):
+        """(exp, log), built on the first call."""
+        if self._tables is None:
+            field, q, one = self.field, self.q, self.field.one
+            for g in range(1, q):
+                gen, x, exp = field.element_from_rank(g), one, []
+                while True:
+                    exp.append(field.rank(x))
+                    x = field.mul(x, gen)
+                    if x == one:
+                        break
+                if len(exp) == q - 1:
                     break
-            if len(exp) == q - 1:
-                break
-        self.exp = exp
-        self.log = [0] * q
-        for k, r in enumerate(exp):
-            self.log[r] = k
+            log = [0] * q
+            for k, r in enumerate(exp):
+                log[r] = k
+            self._tables = exp, log
+        return self._tables
 
     def add(self, a: int) -> list:
         p, rows = self.p, []
@@ -641,9 +750,10 @@ class FieldRows:
     def mul(self, a: int) -> list:
         if a == 0:
             return [0] * self.q
-        k = self.log[a]
-        turned = self.exp[k:] + self.exp[:k]
-        return [0] + [turned[b] for b in self.log[1:]]
+        exp, log = self._logs()
+        k = log[a]
+        turned = exp[k:] + exp[:k]
+        return [0] + [turned[b] for b in log[1:]]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from addhom.errors import (
     CharacteristicMismatch,
@@ -36,6 +36,7 @@ from addhom.fields import (
     poly_mul,
     poly_trim,
 )
+from addhom.maps import EXHAUSTIVE, KLinearExtensionMap, check_additive
 
 Q = Rationals()
 Z2 = PrimeField(2)
@@ -471,6 +472,64 @@ def test_extension_mul_matches_polynomial_division_sampled(field):
         assert all(isinstance(c, Fraction) for c in prod)
 
 
+# the integer kernel of Q(a): products and inverses against division ----------
+
+Q_EXTENSIONS = [
+    QS2,
+    parse_field("Qext:-2,0,0,1"),
+    parse_field("Qext:1/3,-1/2,0,1"),
+    parse_field("Qext:-7/5,3/4,1"),
+    parse_field("Qext:5,-3/7,2/9,1"),
+]
+
+
+def _big_elements(field, seed, count):
+    """Seeded elements with numerators and denominators up to 10^12, then
+    1, -1 and the generator."""
+    rng = random.Random(seed)
+    big = [
+        tuple(
+            Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+            for _ in range(field.degree)
+        )
+        for _ in range(count)
+    ]
+    return big + [field.one, field.neg(field.one), field.generator]
+
+
+def _assert_kernel_matches_oracle(field, a, b):
+    prod = field.mul(a, b)
+    assert prod == _reduced_product(field, a, b)
+    assert all(type(c) is Fraction for c in prod)
+    if any(a):
+        inv = field.inv(a)
+        assert all(type(c) is Fraction for c in inv) and len(inv) == field.degree
+        assert _reduced_product(field, a, inv) == field.one
+
+
+@pytest.mark.parametrize("field", Q_EXTENSIONS, ids=lambda f: f.descriptor())
+def test_q_extension_kernel_matches_polynomial_division(field):
+    elems = _big_elements(field, 1201, 60)
+    for a in elems:
+        for b in elems[::7]:
+            _assert_kernel_matches_oracle(field, a, b)
+    with pytest.raises(DivisionByZero):
+        field.inv(field.zero)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    st.sampled_from(Q_EXTENSIONS),
+    st.lists(
+        st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12)),
+        min_size=6, max_size=6,
+    ),
+)
+def test_q_extension_kernel_property(field, coeffs):
+    d = field.degree
+    _assert_kernel_matches_oracle(field, tuple(coeffs[:d]), tuple(coeffs[3:3 + d]))
+
+
 # rank rows ------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -530,3 +589,28 @@ def test_gf_convenience():
 def test_poly_helpers_trim_and_mul():
     assert poly_trim(Z2, (1, 1, 0, 0)) == (1, 1)
     assert poly_mul(Z2, (1, 1), (1, 1)) == (1, 0, 1)
+
+
+def test_additivity_check_builds_no_log_table(monkeypatch):
+    # the addition rows need no logarithms: an exhaustive additivity check
+    # over GF(81) must not build FieldRows.exp/log (81 field products)
+    made, builds = [], []
+    init, logs = FieldRows.__init__, FieldRows._logs
+
+    def record_init(self, field):
+        init(self, field)
+        made.append(self)
+
+    def record_logs(self):
+        if self._tables is None:
+            builds.append(self)
+        return logs(self)
+
+    monkeypatch.setattr(FieldRows, "__init__", record_init)
+    monkeypatch.setattr(FieldRows, "_logs", record_logs)
+    field = gf(3, 4)
+    m = KLinearExtensionMap(field, (field.generator,) * field.degree)
+    assert check_additive(m, EXHAUSTIVE).verdict == "holds_exhaustive"
+    assert made and not builds
+    assert made[0].mul(1) == list(range(field.order))  # built on request
+    assert builds == [made[0]]

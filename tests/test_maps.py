@@ -188,6 +188,37 @@ def test_ratio_q_sampled_reports():
     assert hom.verdict == "holds_on_samples"
 
 
+QC2 = parse_field("Qext:-2,0,0,1")
+
+
+@pytest.mark.parametrize(
+    "m,check,expected",
+    [
+        (build_ratio_map(QC2), check_homogeneous,
+         {"property": "homogeneous", "verdict": "holds_on_samples",
+          "witness": None, "pairs_checked": 216}),
+        (build_ratio_map(QS2), check_additive,
+         {"property": "additive", "verdict": "violated",
+          "witness": {"kind": "additivity",
+                      "inputs": ["([1,0],[0,0])", "([0,0],[1,0])"],
+                      "lhs": "([1/2,0])", "rhs": "([0,0])"},
+          "pairs_checked": 7}),
+        (build_theorem1_counterexample(QC2), check_additive,
+         {"property": "additive", "verdict": "holds_on_samples",
+          "witness": None, "pairs_checked": 205}),
+        (build_theorem1_counterexample(QC2), check_homogeneous,
+         {"property": "homogeneous", "verdict": "violated",
+          "witness": {"kind": "homogeneity", "inputs": ["[0,1,0]", "([1,0,0])"],
+                      "lhs": "([0,1,0])", "rhs": "([0,0,1])"},
+          "pairs_checked": 8}),
+    ],
+    ids=["ratio-cbrt2-hom", "ratio-sqrt2-add", "thm1-cbrt2-add", "thm1-cbrt2-hom"],
+)
+def test_q_extension_sampled_reports_are_pinned(m, check, expected):
+    # literals recorded with per-coefficient Fraction arithmetic
+    assert report_to_dict(m, check(m, Sampled(seed=24001, samples=200))) == expected
+
+
 @pytest.mark.parametrize("field", [Z3, Z5, GF9], ids=lambda f: f.descriptor())
 def test_ratio_finite_fields(field):
     m = build_ratio_map(field)
