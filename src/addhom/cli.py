@@ -216,6 +216,16 @@ def _cmd_verify_theorem1(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="addhom",
@@ -241,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--strategy", choices=["exhaustive", "sampled"])
     p_check.add_argument("--seed", type=int, default=24001)
-    p_check.add_argument("--samples", type=int, default=200)
+    p_check.add_argument("--samples", type=_nonnegative_int, default=200)
     p_check.add_argument("--format", choices=["text", "json"], default="text")
     p_check.set_defaults(func=_cmd_check)
 

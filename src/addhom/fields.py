@@ -9,12 +9,15 @@ values so equality and hashing just work:
   * Z_p         -> int in [0, p)
   * extensions  -> tuple of base elements, length = deg(m), ascending degree
 
-An extension multiplies and inverts on integer numerators: an operand over
-Q is cleared to ints over one common denominator (a Z_p element is already
-an int, over 1), the product is formed and folded through the modulus on
-ints, and each result coefficient becomes one reduced Fraction (or one
-residue mod p) at the end.  Fraction is canonical, so the results are the
-same values and bytes as per-coefficient Fraction arithmetic would give.
+Polynomial arithmetic runs on Python ints.  Over Q an extension operand
+is cleared to integer numerators over one common denominator; a product is
+formed and folded through the modulus on ints, and a quotient is one
+fraction-free solve of an integer system, so each result coefficient becomes
+one reduced Fraction only at the end.  Fraction is canonical, so the results
+are the same values and bytes as per-coefficient Fraction arithmetic would
+give.  Over Z_p polynomials are lists of residues: products fold through
+the modulus the same way, and inverses (extended Euclid) and the
+irreducibility test (Ben-Or) divide residue lists with a `% p` inline.
 
 Finite fields carry a canonical element order, "rank": residues by value,
 extension elements by sum(rank(c_i) * p**i) over ascending coefficients.
@@ -36,6 +39,7 @@ from .errors import (
     NonMonicModulus,
     NonPrimeModulus,
     ReducibleModulus,
+    SearchSpaceTooLarge,
     SpecFormatError,
     UnsupportedDegree,
     UnsupportedTower,
@@ -287,75 +291,101 @@ class PrimeField(Field):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over a base field: tuples of base elements, ascending degree
+# integer polynomials, and polynomials over Z_p as lists of residues, both in
+# ascending degree
 # ---------------------------------------------------------------------------
 
-def poly_trim(base: Field, coeffs):
-    coeffs = tuple(coeffs)
-    while coeffs and coeffs[-1] == base.zero:
-        coeffs = coeffs[:-1]
-    return coeffs
+def _fold(prod: list, low, lead: int, p: int, den: int = 1) -> int:
+    """Reduce the integer polynomial prod / den modulo m = (low + lead x^d)
+    / lead in place, down to its first d = len(low) entries, and return the
+    new denominator.  From the top down, x^k with k >= d becomes x^(k-d)
+    times x^d = -(low_0 + ... + low_(d-1) x^(d-1)) / lead, so when lead != 1
+    the lower coefficients and den are scaled by lead first.  Over Z_p (p
+    nonzero, lead 1) the folded coefficient is reduced mod p, which keeps
+    the ints small; the d entries left are reduced by the caller."""
+    d = len(low)
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod.pop()
+        if p:
+            c %= p
+        if c:
+            if lead != 1:
+                for i in range(k):
+                    prod[i] *= lead
+                den *= lead
+            for i, n in enumerate(low, k - d):
+                prod[i] -= c * n
+    return den
 
 
-def poly_degree(base: Field, coeffs) -> int:
-    return len(poly_trim(base, coeffs)) - 1  # -1 for the zero polynomial
+def _zp_trim(a: list) -> list:
+    """a without its zero top coefficients, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def poly_add(base: Field, a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (base.zero,) * (n - len(a))
-    b = tuple(b) + (base.zero,) * (n - len(b))
-    return poly_trim(base, (base.add(x, y) for x, y in zip(a, b)))
-
-
-def poly_neg(base: Field, a):
-    return tuple(base.neg(x) for x in a)
-
-
-def poly_sub(base: Field, a, b):
-    return poly_add(base, a, poly_neg(base, b))
-
-
-def poly_mul(base: Field, a, b):
-    a = poly_trim(base, a)
-    b = poly_trim(base, b)
-    if not a or not b:
-        return ()
-    out = [base.zero] * (len(a) + len(b) - 1)
+def _mulmod(a, b, low, lead: int, p: int, den: int = 1):
+    """The schoolbook product of the integer polynomials a and b (as many
+    entries each as low), folded as _fold does: its first len(low) entries,
+    unreduced over Z_p, and their denominator."""
+    prod = [0] * (2 * len(a) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = base.add(out[i + j], base.mul(x, y))
-    return poly_trim(base, out)
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    return prod, _fold(prod, low, lead, p, den)
 
 
-def poly_divmod(base: Field, a, b):
-    """Quotient and remainder of a by b (b nonzero)."""
-    b = poly_trim(base, b)
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    rem = list(poly_trim(base, a))
-    db = len(b) - 1
-    lead_inv = base.inv(b[-1])
-    quot = [base.zero] * max(len(rem) - db, 0)
-    while len(rem) - 1 >= db and rem:
-        shift = len(rem) - 1 - db
-        factor = base.mul(rem[-1], lead_inv)
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] = base.sub(rem[shift + i], base.mul(factor, c))
-        while rem and rem[-1] == base.zero:
-            rem.pop()
-    return poly_trim(base, quot), poly_trim(base, rem)
+def _zp_divmod(a: list, b: list, p: int):
+    """Quotient and trimmed remainder of the residue lists a by b, b
+    trimmed and nonzero."""
+    rem, db = list(a), len(b) - 1
+    low, lead_inv = b[:-1], pow(b[-1], -1, p)
+    quot = [0] * max(len(rem) - db, 0)
+    for k in range(len(rem) - 1, db - 1, -1):
+        c = quot[k - db] = rem.pop() * lead_inv % p
+        if c:
+            for i, n in enumerate(low, k - db):
+                rem[i] -= c * n
+    return quot, _zp_trim([n % p for n in rem])
 
 
-def _poly_pow_mod(base: Field, a, e: int, m):
-    """a^e mod m for e >= 1, squaring and multiplying from the top bit."""
-    out = a
-    for bit in bin(e)[3:]:
-        out = poly_divmod(base, poly_mul(base, out, out), m)[1]
-        if bit == "1":
-            out = poly_divmod(base, poly_mul(base, out, a), m)[1]
-    return out
+def _zp_inverse(a, m, p: int) -> list:
+    """u with a * u = 1 modulo m over Z_p, for a nonzero a of lower degree
+    than m and prime to it: extended Euclid on residue lists, keeping only
+    a's cofactor s, whose degree stays below deg m."""
+    r0, r1 = list(m), _zp_trim(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        q, r = _zp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))  # s0 - q * s1
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(s1, i):
+                    s[j] -= x * y
+        s0, s1 = s1, _zp_trim([n % p for n in s])
+    scale = pow(r1[0], -1, p)
+    return [n * scale % p for n in s1]
+
+
+# Ben-Or's test of a degree-d polynomial over Z_p takes up to d // 2 steps,
+# each a power x^(p^i) mod f (up to 2 bitlen(p) products of about d^2
+# multiplications each) and a gcd (about d^2): a test whose estimate
+# d^2 * (d // 2) * bitlen(p) passes this limit is refused before it starts.
+# Degree 128 over Z_2 is inside (2^21); degree 256 (2^24) is not.
+BEN_OR_WORK_LIMIT = 2**22
+
+
+def _check_ben_or_work(p: int, degree: int) -> None:
+    work = degree * degree * (degree // 2) * p.bit_length()
+    if work > BEN_OR_WORK_LIMIT:
+        raise SearchSpaceTooLarge(
+            f"irreducibility test of degree {degree} over Z_{p} needs about "
+            f"{degree}^2 * {degree // 2} * {p.bit_length()} = {work} steps, "
+            f"over the limit {BEN_OR_WORK_LIMIT}"
+        )
 
 
 def _monic_polys(base: Field, degree: int):
@@ -409,11 +439,12 @@ def _has_integer_root(b: int, c: int, e: int) -> bool:
 def is_irreducible(base: Field, coeffs) -> bool:
     """Irreducibility of a monic polynomial of degree >= 1.
 
-    Over Z_p: Ben-Or's test, gcd(f, x^(p^i) - x) = 1 for i = 1..deg/2, so
-    a factor of degree i shows up at step i.  Over Q: degree <= 3 only,
-    where reducibility is equivalent to having a rational root: for degree
-    2, a rational square discriminant; for degree 3, an integer root of the
-    cubic scaled to integer coefficients.
+    Over Z_p: Ben-Or's test on residue lists, gcd(f, x^(p^i) - x) = 1 for
+    i = 1..deg/2, so a factor of degree i shows up at step i; a test past
+    BEN_OR_WORK_LIMIT raises SearchSpaceTooLarge before it starts.  Over Q:
+    degree <= 3 only, where reducibility is equivalent to having a rational
+    root: for degree 2, a rational square discriminant; for degree 3, an
+    integer root of the cubic scaled to integer coefficients.
     """
     coeffs = tuple(coeffs)
     deg = len(coeffs) - 1
@@ -424,12 +455,21 @@ def is_irreducible(base: Field, coeffs) -> bool:
     if deg == 1:
         return True
     if isinstance(base, PrimeField):
-        x = h = (base.zero, base.one)
+        p = base.p
+        _check_ben_or_work(p, deg)
+        f, low = list(coeffs), list(coeffs[:-1])
+        h = [0, 1] + [0] * (deg - 2)
         for _ in range(deg // 2):
-            h = _poly_pow_mod(base, h, base.p, coeffs)  # x^(p^i) mod f
-            a, b = coeffs, poly_sub(base, h, x)
+            power = h  # h becomes x^(p^i) mod f, by squaring from the top bit
+            for bit in bin(p)[3:]:
+                h = [n % p for n in _mulmod(h, h, low, 1, p)[0]]
+                if bit == "1":
+                    h = [n % p for n in _mulmod(h, power, low, 1, p)[0]]
+            g = h[:]
+            g[1] -= 1
+            a, b = f, _zp_trim([n % p for n in g])  # gcd(f, h - x)
             while b:
-                a, b = b, poly_divmod(base, a, b)[1]
+                a, b = b, _zp_divmod(a, b, p)[1]
             if len(a) > 1:
                 return False
         return True
@@ -455,18 +495,20 @@ def is_irreducible(base: Field, coeffs) -> bool:
 
 
 def find_irreducible(base: PrimeField, degree: int):
-    """Rank-smallest monic irreducible polynomial of the given degree over Z_p."""
+    """Rank-smallest monic irreducible polynomial of the given degree over
+    Z_p; a degree past BEN_OR_WORK_LIMIT is refused before any candidate."""
     if not isinstance(base, PrimeField):
         raise UnsupportedTower("find_irreducible needs a prime base field")
     if degree < 2:
         raise UnsupportedDegree("extension degree must be >= 2")
+    _check_ben_or_work(base.p, degree)
     for poly in _monic_polys(base, degree):
         if is_irreducible(base, poly):
             return poly
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
-def _numerators(a):
+def numerators(a):
     """Integer numerators of a sequence of rationals over their least
     common denominator, and that denominator."""
     den = math.lcm(*(c.denominator for c in a))
@@ -505,10 +547,11 @@ class ExtensionField(Field):
 
     The modulus is kept as integer numerators M over their common
     denominator L (L = 1 over Z_p).  mul forms the schoolbook product of
-    integer numerators and folds it through M.  inv over Q builds the
-    integer columns a * x^j mod m with the same fold and solves that d x d
-    system by fraction-free (Bareiss) elimination; over Z_p it runs
-    extended Euclid.  Only the final coefficients are made Fractions.
+    integer numerators and folds it through M.  div over Q builds the
+    integer columns b * x^j mod m with the same fold and solves b * u = a
+    by fraction-free (Bareiss) elimination, and inv is div of one; only the
+    final coefficients are made Fractions.  Over Z_p, inv runs extended
+    Euclid on residue lists and div multiplies by the inverse.
     """
 
     def __init__(self, base: Field, modulus):
@@ -540,11 +583,8 @@ class ExtensionField(Field):
         if base.characteristic:
             self._numer, self._denom = modulus[:-1], 1
         else:
-            numer, self._denom = _numerators(modulus)
+            numer, self._denom = numerators(modulus)
             self._numer = tuple(numer[:-1])
-
-    def _pad(self, coeffs):
-        return tuple(coeffs) + (self.base.zero,) * (self.degree - len(coeffs))
 
     def add(self, a, b):
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
@@ -554,79 +594,56 @@ class ExtensionField(Field):
 
     def mul(self, a, b):
         """Schoolbook product of the integer numerators, folded through the
-        modulus (_fold); one reduced Fraction per coefficient over Q, one
+        modulus (_mulmod); one reduced Fraction per coefficient over Q, one
         residue over Z_p."""
         p = self.characteristic
         if p:
             den = 1
         else:
-            a, da = _numerators(a)
-            b, db = _numerators(b)
+            a, da = numerators(a)
+            b, db = numerators(b)
             den = da * db
-        prod = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    prod[j] += x * y
-        den = self._fold(prod, den)
+        prod, den = _mulmod(a, b, self._numer, self._denom, p, den)
         if p:
             return tuple([n % p for n in prod])
         return tuple([Fraction(n, den) for n in prod])
 
-    def _fold(self, prod, den: int) -> int:
-        """Reduce the integer polynomial prod / den modulo m = M / L in
-        place, down to its first deg entries, and return the new
-        denominator.  From the top down, x^k with k >= deg becomes x^(k-deg)
-        times x^deg = -(M_0 + ... + M_(deg-1) x^(deg-1)) / L, so when L != 1
-        the lower coefficients and den are scaled by L first.  Over Z_p the
-        folded coefficient is reduced mod p, which keeps the ints small."""
-        d, low, lead = self.degree, self._numer, self._denom
-        p = self.characteristic
-        for k in range(len(prod) - 1, d - 1, -1):
-            c = prod.pop()
-            if p:
-                c %= p
-            if c:
-                if lead != 1:
-                    for i in range(k):
-                        prod[i] *= lead
-                    den *= lead
-                for i, n in enumerate(low, k - d):
-                    prod[i] -= c * n
-        return den
-
     def inv(self, a):
-        if all(c == self.base.zero for c in a):
+        """Over Q, one / a (div); over Z_p, extended Euclid on residues."""
+        p = self.characteristic
+        if not p:
+            return self.div(self.one, a)
+        if not any(a):
             raise DivisionByZero(f"1/0 in {self.descriptor()}")
-        if self.characteristic == 0:
-            # u = a^-1 solves a * u = 1 in the basis 1, x, ..., x^(deg-1).
-            # With a = A / den and the integer columns N_j = s_j (A x^j mod m),
-            # each the one before times x, folded (s_j collects the fold's
-            # factors L), w_j = u_j / s_j solves N w = den e_0 on ints
-            d = self.degree
-            col, den = _numerators(a)
-            rows = [[0] * d + [den if i == 0 else 0] for i in range(d)]
-            scales, scale = [], 1
-            for j in range(d):
-                if j:
-                    col = [0] + col
-                    scale = self._fold(col, scale)
-                for i, c in enumerate(col):
-                    rows[i][j] = c
-                scales.append(scale)
-            w, det = _bareiss_solve(rows)
-            return tuple([Fraction(n * s, det) for n, s in zip(w, scales)])
-        # extended Euclid: u*a + v*modulus = gcd (a unit constant)
-        r0, r1 = self.modulus, poly_trim(self.base, a)
-        s0, s1 = (), (self.base.one,)
-        while poly_degree(self.base, r1) > 0:
-            q, r = poly_divmod(self.base, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(self.base, s0, poly_mul(self.base, q, s1))
-        scale = self.base.inv(r1[0])
-        u = poly_mul(self.base, s1, (scale,))
-        _, u = poly_divmod(self.base, u, self.modulus)
-        return self._pad(u)
+        u = _zp_inverse(a, self.modulus, p)
+        return tuple(u + [0] * (self.degree - len(u)))
+
+    def div(self, a, b):
+        """a / b: over Z_p, a * b^-1.  Over Q, u = a / b solves b * u = a in
+        the basis 1, x, ..., x^(d-1).  With a = A / da, b = B / db and the
+        integer columns N_j = s_j (B x^j mod m), each the one before times
+        x, folded (s_j collects the fold's factors L), w_j = da u_j / s_j
+        solves N w = db A on ints, by fraction-free elimination."""
+        p = self.characteristic
+        if p:
+            return self.mul(a, self.inv(b))
+        if not any(b):
+            raise DivisionByZero(f"1/0 in {self.descriptor()}")
+        d = self.degree
+        rhs, da = numerators(a)
+        col, db = numerators(b)
+        rows = [[0] * d + [db * n] for n in rhs]
+        scales, scale = [], 1
+        for j in range(d):
+            if j:
+                col = [0] + col
+                scale = _fold(col, self._numer, self._denom, 0, scale)
+            for i, c in enumerate(col):
+                rows[i][j] = c
+            scales.append(scale)
+        w, det = _bareiss_solve(rows)
+        det *= da
+        return tuple([Fraction(n * s, det) for n, s in zip(w, scales)])
 
     def rank(self, a) -> int:
         if not self.is_finite:

@@ -34,6 +34,7 @@ must be a function of its input alone.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +52,7 @@ from .errors import (
     SpecFormatError,
     ZeroDenominator,
 )
-from .fields import ExtensionField, Field, PrimeField, Rationals, parse_field
+from .fields import ExtensionField, Field, PrimeField, Rationals, numerators, parse_field
 from .spaces import SpaceRows, VectorSpace, split_top_level
 
 
@@ -153,7 +154,14 @@ class OrbitTableMap(VectorMap):
 
 class KLinearExtensionMap(VectorMap):
     """F -> F map, linear over the prime subfield k, fixed by images of the
-    power basis of F as a k-space.  Domain and codomain are 1-dimensional."""
+    power basis of F as a k-space.  Domain and codomain are 1-dimensional.
+
+    The k-coordinates of an input are its coefficients c_i, so its image is
+    the dot product sum_i c_i * img_i, coefficient by coefficient.  The
+    images are cleared once to integer numerators over one common
+    denominator (1 over Z_p), so an evaluation is an integer dot product
+    per output coefficient, finished as one reduced Fraction over Q or one
+    residue over Z_p, with no field call."""
 
     def __init__(self, field: ExtensionField, basis_images):
         if not isinstance(field, ExtensionField):
@@ -170,17 +178,26 @@ class KLinearExtensionMap(VectorMap):
         self.domain = VectorSpace(field, 1)
         self.codomain = VectorSpace(field, 1)
         self.basis_images = basis_images
+        # column k holds coefficient k of every image, as numerators over
+        # the images' common denominator
+        flat = [c for img in basis_images for c in img]
+        if field.characteristic:
+            self._denom = 1
+        else:
+            flat, self._denom = numerators(flat)
+        d = field.degree
+        self._cols = [flat[k::d] for k in range(d)]
 
     def evaluate(self, v):
         self._check_domain(v)
-        # the k-coordinates of v's single element are its modulus coefficients
-        coeffs = v[0]
-        base = self.field.base
-        acc = self.field.zero
-        for c, img in zip(coeffs, self.basis_images):
-            scalar = self.field.embed(c, base.characteristic)
-            acc = self.field.add(acc, self.field.mul(scalar, img))
-        return (acc,)
+        p, coeffs = self.field.characteristic, v[0]
+        if not p:
+            coeffs, den = numerators(coeffs)
+            den *= self._denom
+        dots = [sum(map(operator.mul, coeffs, col)) for col in self._cols]
+        if p:
+            return (tuple([n % p for n in dots]),)
+        return (tuple([Fraction(n, den) for n in dots]),)
 
 
 class RatioMap(VectorMap):

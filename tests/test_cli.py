@@ -180,6 +180,24 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_negative_samples_exits_2(tmp_path, capsys):
+    spec = tmp_path / "ratio.json"
+    assert run(capsys, "counterexample", "ratio", "--out", str(spec))[0] == 0
+    check = ["check", "--input", str(spec), "--property", "homogeneous",
+             "--strategy", "sampled", "--samples"]
+    with pytest.raises(SystemExit) as exc:
+        main(check + ["-5"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "addhom check: error: argument --samples: must be >= 0, not -5"
+    ]
+    # zero draws is a request that can be met: the corner pairs alone
+    code, out, _ = run(capsys, *check, "0")
+    assert code == 0 and "pairs checked: 12" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -189,8 +207,13 @@ def test_usage_errors(capsys, tmp_path):
          "--codomain-dim", "1"],
         ["verify-theorem1", "--p", "2", "--domain-dim", "12",
          "--codomain-dim", "1"],
+        ["field", "find-irreducible", "--p", "2", "--degree", "100000000"],
+        ["search", "--field", "Fq:2:" + ",".join(["1"] + ["0"] * 299 + ["1"]),
+         "--domain-dim", "1", "--codomain-dim", "1"],
     ],
-    ids=["search-Z3-20-1", "search-Z2-14-1", "search-Z2-huge-1", "verify-Z2-12-1"],
+    ids=["search-Z3-20-1", "search-Z2-14-1",
+         "search-Z2-huge-1", "verify-Z2-12-1", "find-irreducible-Z2-huge",
+         "search-Fq-degree-300"],
 )
 def test_guard_refuses_at_once_with_one_line(capsys, argv):
     start = time.perf_counter()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from addhom.errors import (
     NonMonicModulus,
     NonPrimeModulus,
     ReducibleModulus,
+    SearchSpaceTooLarge,
     SpecFormatError,
     UnsupportedDegree,
     UnsupportedTower,
@@ -32,9 +34,6 @@ from addhom.fields import (
     is_irreducible,
     is_prime,
     parse_field,
-    poly_divmod,
-    poly_mul,
-    poly_trim,
 )
 from addhom.maps import EXHAUSTIVE, KLinearExtensionMap, check_additive
 
@@ -48,6 +47,49 @@ GF9 = ExtensionField(Z3, (1, 0, 1))
 QS2 = ExtensionField(Q, (Fraction(-2), Fraction(0), Fraction(1)))
 
 SMALL_FINITE = [Z2, Z3, Z5, GF4, GF8, GF9]
+
+
+# polynomials over a base field as tuples of base elements, ascending degree:
+# the reference arithmetic, through the base field's own operations, that the
+# integer and residue-list kernels are checked against
+
+def poly_trim(base, coeffs):
+    coeffs = tuple(coeffs)
+    while coeffs and coeffs[-1] == base.zero:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def poly_mul(base, a, b):
+    a = poly_trim(base, a)
+    b = poly_trim(base, b)
+    if not a or not b:
+        return ()
+    out = [base.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = base.add(out[i + j], base.mul(x, y))
+    return poly_trim(base, out)
+
+
+def poly_divmod(base, a, b):
+    """Quotient and remainder of a by b (b nonzero)."""
+    b = poly_trim(base, b)
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    rem = list(poly_trim(base, a))
+    db = len(b) - 1
+    lead_inv = base.inv(b[-1])
+    quot = [base.zero] * max(len(rem) - db, 0)
+    while len(rem) - 1 >= db and rem:
+        shift = len(rem) - 1 - db
+        factor = base.mul(rem[-1], lead_inv)
+        quot[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] = base.sub(rem[shift + i], base.mul(factor, c))
+        while rem and rem[-1] == base.zero:
+            rem.pop()
+    return poly_trim(base, quot), poly_trim(base, rem)
 
 
 # construction ---------------------------------------------------------------
@@ -400,6 +442,21 @@ def test_find_irreducible_degree_64_over_z2():
     assert poly == (1, 1, 0, 1, 1) + (0,) * 59 + (1,)  # x^64 + x^4 + x^3 + x + 1
 
 
+def test_ben_or_work_guard_refuses_before_any_step():
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLarge, match="degree 256 over Z_2"):
+        find_irreducible(Z2, 256)
+    with pytest.raises(SearchSpaceTooLarge, match="degree 100000000 over Z_2"):
+        find_irreducible(Z2, 100_000_000)
+    with pytest.raises(SearchSpaceTooLarge, match="degree 300 over Z_2"):
+        is_irreducible(Z2, (1,) + (0,) * 299 + (1,))
+    with pytest.raises(SearchSpaceTooLarge, match="degree 300 over Z_2"):
+        parse_field("Fq:2:" + ",".join(["1"] + ["0"] * 299 + ["1"]))
+    assert time.perf_counter() - start < 1.0
+    # degree 128 is inside the limit: x^128 shares the root 0 with x^2 - x
+    assert not is_irreducible(Z2, (0,) * 128 + (1,))
+
+
 def test_find_irreducible_examples():
     assert find_irreducible(Z2, 2) == (1, 1, 1)
     assert find_irreducible(Z2, 3) == (1, 1, 0, 1)
@@ -528,6 +585,88 @@ def test_q_extension_kernel_matches_polynomial_division(field):
 def test_q_extension_kernel_property(field, coeffs):
     d = field.degree
     _assert_kernel_matches_oracle(field, tuple(coeffs[:d]), tuple(coeffs[3:3 + d]))
+
+
+# Q(a) division, the GF(p^d) inverse and the k-linear map against the oracle -
+
+@pytest.mark.parametrize("field", Q_EXTENSIONS, ids=lambda f: f.descriptor())
+def test_q_extension_div_matches_inverse_and_oracle(field):
+    elems = _big_elements(field, 1301, 30)
+    for a in elems[::3] + [field.zero]:
+        for b in elems:
+            quot = field.div(a, b)
+            assert all(type(c) is Fraction for c in quot) and len(quot) == field.degree
+            assert quot == field.mul(a, field.inv(b))
+            assert _reduced_product(field, b, quot) == a
+    with pytest.raises(DivisionByZero, match=re.escape(f"1/0 in {field.descriptor()}")):
+        field.div(field.one, field.zero)
+
+
+@pytest.mark.parametrize(
+    "field", [GF4, GF8, GF9, gf(5, 2), gf(3, 3), gf(3, 4)],
+    ids=lambda f: f.descriptor(),
+)
+def test_gf_inverse_matches_oracle_exhaustive(field):
+    for a in field.elements():
+        if any(a):
+            inv = field.inv(a)
+            assert field.contains(inv)
+            assert _reduced_product(field, a, inv) == field.one
+    with pytest.raises(DivisionByZero, match=re.escape(f"1/0 in {field.descriptor()}")):
+        field.inv(field.zero)
+
+
+def test_gf_2_64_inverse_matches_oracle():
+    field, rng = gf(2, 64), random.Random(1409)
+    for a in [field.random_element(rng) for _ in range(100)]:
+        if any(a):
+            inv = field.inv(a)
+            assert field.contains(inv)
+            assert _reduced_product(field, a, inv) == field.one
+
+
+def _klinear_by_field_ops(m, v):
+    """The k-linear map by its definition: sum of embed(c_i) * img_i in F."""
+    field = m.field
+    acc = field.zero
+    for c, img in zip(v[0], m.basis_images):
+        scalar = field.embed(c, field.characteristic)
+        acc = field.add(acc, field.mul(scalar, img))
+    return (acc,)
+
+
+def _forbidden(*args):
+    raise AssertionError("KLinearExtensionMap.evaluate called a field operation")
+
+
+@pytest.mark.parametrize(
+    "field", Q_EXTENSIONS + [GF4, gf(3, 4), gf(2, 64)], ids=lambda f: f.descriptor()
+)
+def test_klinear_evaluate_matches_field_operations(field, monkeypatch):
+    rng = random.Random(1511)
+    if field.is_finite:
+        images = [field.random_element(rng) for _ in range(field.degree)]
+        inputs = [field.random_element(rng) for _ in range(60)]
+    else:
+        # image i has every coefficient over the denominator 2^(i+1) 3^i,
+        # so the images share no denominator; inputs mix denominators
+        images = [
+            tuple(
+                Fraction(2 * rng.randint(-10**6, 10**6) + 1, 2 ** (i + 1) * 3 ** i)
+                for _ in range(field.degree)
+            )
+            for i in range(field.degree)
+        ]
+        inputs = _big_elements(field, 1511, 40)
+    inputs.append(field.zero)
+    m = KLinearExtensionMap(field, images)
+    expected = [_klinear_by_field_ops(m, (x,)) for x in inputs]
+    for op in ("mul", "add", "embed"):
+        monkeypatch.setattr(ExtensionField, op, _forbidden)
+    for x, want in zip(inputs, expected):
+        got = m.evaluate((x,))
+        assert got == want
+        assert m.codomain.contains(got)
 
 
 # rank rows ------------------------------------------------------------------
