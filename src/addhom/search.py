@@ -13,12 +13,12 @@ Two scans:
     of (q^dv)^(q^du); each is checked for homogeneity -- over a prime field
     no survivor may fail, over a proper extension some must.
 
-Both test a candidate, given as the list of its value indices, against
-flat constraint lists built once per call from the spaces' rank rows:
-(i, j, i+j) for additivity and (scalar action, i, s*i) for homogeneity,
-so the inner loops never touch field elements.  Counts are exact Python
-ints.  Both scans run in one process, in canonical order; the `jobs`
-setting is accepted for compatibility and selects nothing.
+Both test a candidate, given as the list of its value indices, against one
+constraint set (_IndexTables) built once per call by rank arithmetic, so
+the inner loops never touch field elements.  Counts are exact Python ints,
+checked against the paper's closed forms.  Both scans run in one process,
+in canonical order; the `jobs` setting is accepted for compatibility and
+selects nothing.
 """
 
 from __future__ import annotations
@@ -64,35 +64,36 @@ def count_linear(field: Field, du: int, dv: int) -> int:
 # integer index tables
 # ---------------------------------------------------------------------------
 
-def _space_tables(space: VectorSpace):
-    """A finite space's vectors by rank (index 0 is zero) and its tables by
-    index, from its rank rows: add[a][b] indexes vecs[a] + vecs[b], act[s][v]
-    the scalar of rank s times vecs[v]."""
-    rows = SpaceRows(space)
-    add = [rows.add(i) for i in range(space.size)]
-    act = [rows.act(s) for s in range(space.field.order)]
-    return list(space.vectors()), add, act
-
-
 class _IndexTables:
     """Constraints on a map F^du -> F^dv, phi = its value indices by domain
-    index: sums (i, j, i+j), i <= j, and scales (codomain action of s, i,
-    s*i), in the order of a nested scan over (i, j) and (s, i)."""
+    index.  A rank's base-p digits are its Z_p coordinates, and i + e, for a
+    basis rank e = p^k, steps digit k mod p.  By induction on the digits phi
+    is additive iff phi(i + e) = phi(i) + phi(e) for every i and e (i = 0
+    gives phi(0) = 0): sums holds these n*d*du triples (i, e, i + e).  With g
+    the primitive element of FieldRows (1 if q = 2), phi is homogeneous iff
+    phi(0) = 0 and phi(g*i) = gact[phi(i)], where scales[i] indexes g*v_i."""
 
     def __init__(self, domain: VectorSpace, codomain: VectorSpace):
         self.domain, self.codomain = domain, codomain
-        self.dvecs, dadd, dact = _space_tables(domain)
-        self.cvecs, self.cadd, cact = _space_tables(codomain)
-        n, q = len(self.dvecs), domain.field.order
-        self.sums = [(i, j, dadd[i][j]) for i in range(n) for j in range(i, n)]
-        self.scales = [(cact[s], i, dact[s][i]) for s in range(q) for i in range(n)]
+        self.dvecs, self.cvecs = list(domain.vectors()), list(codomain.vectors())
+        n, q, p = len(self.dvecs), domain.field.order, domain.field.characteristic
+        crows = SpaceRows(codomain)
+        self.cadd = [crows.add(i) for i in range(len(self.cvecs))]
+        exp = crows.field.exp  # exp[k] = rank(g^k)
+        cpow = [crows.act(s) for s in exp]  # codomain action of g^k
+        k = 1 % (q - 1)  # exp[k] is g (k = 0 when q = 2, where g = 1)
+        self.gact, self.scales = cpow[k], SpaceRows(domain).act(exp[k])
+        basis = [p**k for k in range(crows.field.digits * domain.dim)]
+        self.sums = [(i, e, i + e if i // e % p != p - 1 else i - (p - 1) * e)
+                     for i in range(n) for e in basis]
         self.orbits = domain.orbits()
-        # per nonzero domain vector s*rep: (orbit index, codomain action of s)
+        # per nonzero domain vector g^k*rep: (orbit index, codomain action of g^k)
         orbit_of = [None] * n
         for orb in self.orbits:
-            rep = domain.rank(orb.representative)
-            for s in range(1, q):
-                orbit_of[dact[s][rep]] = (orb.index, cact[s])
+            i = domain.rank(orb.representative)
+            for act in cpow:
+                orbit_of[i] = (orb.index, act)
+                i = self.scales[i]
         self.orbit_of = orbit_of[1:]
 
     def phi_from_assignment(self, assign):
@@ -107,10 +108,8 @@ class _IndexTables:
         return True
 
     def is_homogeneous(self, phi) -> bool:
-        for act, i, k in self.scales:
-            if act[phi[i]] != phi[k]:
-                return False
-        return True
+        act = self.gact
+        return phi[0] == 0 and [phi[k] for k in self.scales] == [act[v] for v in phi]
 
     def table_map(self, phi) -> TableMap:
         entries = {v: self.cvecs[phi[i]] for i, v in enumerate(self.dvecs)}
@@ -143,6 +142,12 @@ def _guarded_tables(field: Field, du: int, dv: int, per_orbit: bool, limit: int)
         k = f"({dv}*({q}^{du}-1)/{q - 1})" if per_orbit else f"({dv}*{q}^{du})"
     what = "candidates" if per_orbit else "tables"
     raise SearchSpaceTooLarge(f"{q}^{k} {what} exceed the limit {limit}")
+
+
+def _closed_form(count: int, expected: int) -> None:
+    """A scan's count must equal the paper's closed form."""
+    if count != expected:
+        raise AssertionError(f"scan counted {count}, the closed form gives {expected}")
 
 
 def _reverify(m, holds, fails) -> CheckReport:
@@ -226,6 +231,7 @@ def search_homogeneous_nonadditive(config: SearchConfig) -> SearchResult:
             first_bad = assign
         if collect_all:
             witness_maps.append(tables.orbit_map(assign))
+    _closed_form(additive, count_linear(field, du, dv))
     witness_map = report = None
     if config.mode != "count_only" and first_bad is not None:
         witness_map = tables.orbit_map(first_bad)
@@ -283,7 +289,7 @@ class TableScanReport:
 def _additive_tables(tables: _IndexTables):
     """Yield every additive value-index table in itertools.product order
     (position 0 slowest, values by rank).  A depth-first walk assigns one
-    position at a time and tests each constraint (i, j, i+j) once its
+    position at a time and tests each constraint (i, e, i + e) once its
     deepest index is set, so a failing prefix cuts its whole subtree.  It
     is a loop, not a recursion: its depth is q^du.  The yielded list is
     reused; copy it to keep it."""
@@ -324,6 +330,8 @@ def scan_additive_tables(
             bad += 1
             if first_bad is None:
                 first_bad = tables.table_map(phi)
+    d = getattr(field, "degree", 1)  # additive tables are the Z_p-linear maps
+    _closed_form(additive, field.characteristic ** (d * du * d * dv))
     if first_bad is not None:
         _reverify(first_bad, check_additive, check_homogeneous)
     return TableScanReport(

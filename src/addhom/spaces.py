@@ -128,9 +128,8 @@ class VectorSpace:
         self._check(v)
         for c in v:
             if c != self.field.zero:
-                scale = c
-                rep = tuple(self.field.div(a, scale) for a in v)
-                return rep, scale
+                inv = self.field.inv(c)
+                return tuple(self.field.mul(a, inv) for a in v), c
         raise ZeroVector("the zero vector has no orbit representative")
 
     def orbits(self) -> list[Orbit]:

@@ -295,8 +295,9 @@ def test_gf4_contrast_has_additive_nonhomogeneous_tables():
 
 
 @pytest.mark.parametrize(
-    "field,du,dv", [(Z2, 2, 1), (Z3, 1, 2), (GF4, 1, 1)],
-    ids=["Z2-2-1", "Z3-1-2", "GF4-1-1"],
+    "field,du,dv",
+    [(Z2, 2, 1), (Z3, 1, 2), (GF4, 1, 1), (Z2, 3, 1), (Z2, 2, 2), (Z3, 2, 1)],
+    ids=["Z2-2-1", "Z3-1-2", "GF4-1-1", "Z2-3-1", "Z2-2-2", "Z3-2-1"],
 )
 def test_constraint_lists_match_table_oracles(field, du, dv):
     tables = search._IndexTables(VectorSpace(field, du), VectorSpace(field, dv))
@@ -312,6 +313,32 @@ def test_table_scan_reverifies_its_counterexample(monkeypatch):
     monkeypatch.setattr(search._IndexTables, "is_homogeneous", lambda *a: False)
     with pytest.raises(AssertionError, match="re-verification"):
         scan_additive_tables(GF4, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [lambda: search_homogeneous_nonadditive(SearchConfig(Z2, 3, 1)),
+     lambda: scan_additive_tables(Z3, 2, 1)],
+    ids=["orbit-search", "table-scan"],
+)
+def test_scans_check_their_count_against_the_closed_form(monkeypatch, scan):
+    init = search._IndexTables.__init__
+
+    def forgetful_init(self, *args):
+        init(self, *args)
+        # a lemma implementation that stops after the first basis vector
+        self.sums = [c for c in self.sums if c[1] == 1]
+
+    monkeypatch.setattr(search._IndexTables, "__init__", forgetful_init)
+    with pytest.raises(AssertionError, match="closed form"):
+        scan()
+
+
+def test_index_tables_hold_basis_constraints_only():
+    # Z_2 9->1: n = 512 indices, d*du = 9 basis vectors
+    tables = search._IndexTables(VectorSpace(Z2, 9), VectorSpace(Z2, 1))
+    assert len(tables.sums) == 512 * 9
+    assert len(tables.scales) == 512
 
 
 def test_table_scan_guard():
@@ -380,11 +407,11 @@ def test_table_scan_matches_raw_table_bruteforce(field, du, dv):
 
 @pytest.mark.parametrize(
     "field,du,dv,additive,bad",
-    [(Z3, 2, 2, 81, 0), (GF4, 2, 1, 256, 240)],
-    ids=["Z3-2-2", "GF4-2-1"],
+    [(Z3, 2, 2, 81, 0), (GF4, 2, 1, 256, 240), (Z2, 9, 1, 512, 0)],
+    ids=["Z3-2-2", "GF4-2-1", "Z2-9-1"],
 )
 def test_table_scan_reaches_past_the_default_guard(field, du, dv, additive, bad):
-    # 3^36 (3.9e8) and 4^16 (4.3e9) tables, opened by an explicit limit
+    # 3^36 (3.9e8), 4^16 (4.3e9) and 2^512 tables, opened by an explicit limit
     tables = field.order ** (dv * field.order**du)
     assert tables > search.DEFAULT_MAX_CANDIDATES
     start = time.perf_counter()

@@ -1,6 +1,7 @@
 """Vector arithmetic, enumeration order, and scalar orbits."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from addhom.errors import (
     SpecFormatError,
     ZeroVector,
 )
-from addhom.fields import ExtensionField, PrimeField, Rationals, gf
+from addhom.fields import ExtensionField, PrimeField, Rationals, gf, parse_field
 from addhom.spaces import SpaceRows, VectorSpace
 
 Q = Rationals()
@@ -116,6 +117,36 @@ def test_canonical_rep_over_q():
     rep, scale = space.canonical_rep((frac(0), frac(3, 2)))
     assert rep == (frac(0), frac(1))
     assert scale == frac(3, 2)
+
+
+def test_canonical_rep_inverts_the_scale_once(monkeypatch):
+    field = gf(3, 2)
+    calls = {"inv": 0, "div": 0}
+    for name in calls:
+        def counting(*args, _op=getattr(field, name), _name=name):
+            calls[_name] += 1
+            return _op(*args)
+
+        monkeypatch.setattr(field, name, counting)
+    v = tuple(field.element_from_rank(r) for r in (0, 5, 7))
+    rep, scale = VectorSpace(field, 3).canonical_rep(v)
+    assert calls == {"inv": 1, "div": 0}
+    assert rep[:2] == (field.zero, field.one) and scale == v[1]
+
+
+def test_canonical_rep_matches_per_coordinate_division():
+    gf9 = VectorSpace(gf(3, 2), 2)
+    qsqrt2 = VectorSpace(parse_field("Qext:-2,0,1"), 2)
+    rng = random.Random(9)
+    cases = [(gf9, v) for v in gf9.vectors()]
+    cases += [(qsqrt2, qsqrt2.random_vector(rng)) for _ in range(50)]
+    for space, v in cases:
+        if v == space.zero:
+            continue
+        scale = next(c for c in v if c != space.field.zero)
+        by_division = tuple(space.field.div(a, scale) for a in v), scale
+        # the same values, types and encodings
+        assert repr(space.canonical_rep(v)) == repr(by_division)
 
 
 # orbits -----------------------------------------------------------------------
