@@ -388,10 +388,11 @@ def _check_ben_or_work(p: int, degree: int) -> None:
         )
 
 
-def _monic_polys(base: Field, degree: int):
-    """All monic polynomials of the given degree over a finite base,
-    non-leading coefficients in rank order (coefficient 0 fastest)."""
-    for r in range(base.order ** degree):
+def _monic_polys(base: Field, degree: int, start: int = 0):
+    """Monic polynomials of the given degree over a finite base from rank
+    start on, non-leading coefficients in rank order (coefficient 0
+    fastest)."""
+    for r in range(start, base.order ** degree):
         coeffs = []
         for _ in range(degree):
             coeffs.append(base.element_from_rank(r % base.order))
@@ -496,13 +497,20 @@ def is_irreducible(base: Field, coeffs) -> bool:
 
 def find_irreducible(base: PrimeField, degree: int):
     """Rank-smallest monic irreducible polynomial of the given degree over
-    Z_p; a degree past BEN_OR_WORK_LIMIT is refused before any candidate."""
+    Z_p; a degree past BEN_OR_WORK_LIMIT is refused before any candidate.
+
+    The first p candidates are the binomials x^d + c.  Some x^d + c is
+    irreducible iff every prime factor of d divides p - 1, and p = 1 mod 4
+    when 4 | d (Lidl and Niederreiter, Finite Fields, Theorem 3.75); when
+    that fails the walk starts at rank p."""
     if not isinstance(base, PrimeField):
         raise UnsupportedTower("find_irreducible needs a prime base field")
     if degree < 2:
         raise UnsupportedDegree("extension degree must be >= 2")
-    _check_ben_or_work(base.p, degree)
-    for poly in _monic_polys(base, degree):
+    p = base.p
+    _check_ben_or_work(p, degree)
+    binomials = pow(p - 1, degree, degree) == 0 and (degree % 4 != 0 or p % 4 == 1)
+    for poly in _monic_polys(base, degree, 0 if binomials else p):
         if is_irreducible(base, poly):
             return poly
     raise AssertionError("unreachable: irreducibles exist in every degree")

@@ -7,11 +7,11 @@ Two scans:
     filters by exhaustive additivity, and reports how many homogeneous maps
     are additive and the canonically-first one that is not;
 
-  * the raw table scan walks the maps F^du -> F^dv depth first, one table
-    position at a time, and cuts every prefix that already breaks
-    additivity, so only the p^(d*du*d*dv) additive tables are reached out
-    of (q^dv)^(q^du); each is checked for homogeneity -- over a prime field
-    no survivor may fail, over a proper extension some must.
+  * the raw table scan walks the maps F^du -> F^dv through their values at
+    the free positions of the constraint set (the d*du basis ranks) and
+    fills in the rest, so only the p^(d*du*d*dv) additive tables are
+    reached out of (q^dv)^(q^du); each is checked for homogeneity -- over a
+    prime field no survivor may fail, over a proper extension some must.
 
 Both test a candidate, given as the list of its value indices, against one
 constraint set (_IndexTables) built once per call by rank arithmetic, so
@@ -286,45 +286,35 @@ class TableScanReport:
         }
 
 
-def _additive_tables(tables: _IndexTables):
-    """Yield every additive value-index table in itertools.product order
-    (position 0 slowest, values by rank).  A depth-first walk assigns one
-    position at a time and tests each constraint (i, e, i + e) once its
-    deepest index is set, so a failing prefix cuts its whole subtree.  It
-    is a loop, not a recursion: its depth is q^du.  The yielded list is
-    reused; copy it to keep it."""
-    n, m, cadd = len(tables.dvecs), len(tables.cvecs), tables.cadd
-    checks = [[] for _ in range(n)]
-    for c in tables.sums:
-        checks[max(c)].append(c)
-    phi = [-1] * n
-    d = 0
-    while d >= 0:
-        phi[d] += 1
-        if phi[d] == m:
-            phi[d] = -1
-            d -= 1
-            continue
-        for i, j, k in checks[d]:
-            if cadd[phi[i]][phi[j]] != phi[k]:
-                break
-        else:
-            if d == n - 1:
-                yield phi
-            else:
-                d += 1
-
-
 def scan_additive_tables(
     field: Field, du: int, dv: int, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ) -> TableScanReport:
     """Walk the table maps F^du -> F^dv down to the additive ones and test
     each for exhaustive homogeneity; the first that fails is re-verified
-    through the map checkers before it is returned."""
+    through the map checkers before it is returned.
+
+    A constraint (i, e, k) with i, e < k fixes phi(k) = phi(i) + phi(e), and
+    phi(0) = 0; every other position is free (for the basis constraints, the
+    d*du basis ranks).  The walk takes the product of the values at the free
+    positions, fills in the fixed ones in ascending order and keeps the
+    tables that pass is_additive.  Each fixed position depends only on
+    earlier ones, so the tables come in itertools.product order (position 0
+    slowest, values by rank)."""
     total, tables = _guarded_tables(field, du, dv, False, max_candidates)
+    n, cadd = len(tables.dvecs), tables.cadd
+    fixed = {k: (i, e) for i, e, k in tables.sums if i < k and e < k}
+    free = [k for k in range(1, n) if k not in fixed]
+    fill = sorted(fixed.items())
+    phi = [0] * n
     additive = bad = 0
     first_bad = None
-    for phi in _additive_tables(tables):
+    for values in itertools.product(range(len(tables.cvecs)), repeat=len(free)):
+        for k, v in zip(free, values):
+            phi[k] = v
+        for k, (i, e) in fill:
+            phi[k] = cadd[phi[i]][phi[e]]
+        if not tables.is_additive(phi):
+            continue
         additive += 1
         if not tables.is_homogeneous(phi):
             bad += 1

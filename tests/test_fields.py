@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from addhom import fields
 from addhom.errors import (
     CharacteristicMismatch,
     DivisionByZero,
@@ -461,6 +462,50 @@ def test_find_irreducible_examples():
     assert find_irreducible(Z2, 2) == (1, 1, 1)
     assert find_irreducible(Z2, 3) == (1, 1, 0, 1)
     assert find_irreducible(Z3, 2) == (1, 0, 1)
+
+
+PRIMES_BELOW_50 = [p for p in range(2, 50) if is_prime(p)]
+
+
+def _some_binomial_irreducible(p, d):
+    """Lidl and Niederreiter, Finite Fields, Theorem 3.75: some x^d + c is
+    irreducible over Z_p iff every prime factor of d divides p - 1, and
+    p = 1 mod 4 when 4 | d."""
+    factors = [r for r in range(2, d + 1) if d % r == 0 and is_prime(r)]
+    return all((p - 1) % r == 0 for r in factors) and (d % 4 != 0 or p % 4 == 1)
+
+
+def test_binomial_rule_matches_ben_or():
+    for p in PRIMES_BELOW_50:
+        base = PrimeField(p)
+        for d in range(2, 9):
+            some = any(
+                is_irreducible(base, (c,) + (0,) * (d - 1) + (1,)) for c in range(p)
+            )
+            assert some == _some_binomial_irreducible(p, d), (p, d)
+
+
+def test_find_irreducible_matches_the_walk_from_rank_0(monkeypatch):
+    tested = []
+
+    def counting(base, coeffs):
+        tested.append(coeffs)
+        return is_irreducible(base, coeffs)
+
+    monkeypatch.setattr(fields, "is_irreducible", counting)
+    for p in PRIMES_BELOW_50:
+        base = PrimeField(p)
+        for d in range(2, 9):
+            # every candidate in rank order, coefficient 0 fastest
+            walk = (high[::-1] + (1,)
+                    for high in itertools.product(range(p), repeat=d))
+            first = next(f for f in walk if is_irreducible(base, f))
+            tested.clear()
+            assert find_irreducible(base, d) == first, (p, d)
+            # the binomials are tested only where one can be irreducible
+            rank = sum(c * p**i for i, c in enumerate(first[:-1]))
+            skipped = 0 if _some_binomial_irreducible(p, d) else p
+            assert len(tested) == rank + 1 - skipped, (p, d)
 
 
 def test_find_irreducible_z2_cubic_predecessors_reducible():

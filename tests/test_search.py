@@ -35,6 +35,7 @@ Z2 = PrimeField(2)
 Z3 = PrimeField(3)
 Z5 = PrimeField(5)
 GF4 = gf(2, 2)
+GF9 = gf(3, 2)
 
 
 # brute-force oracles over raw tables (tiny instances only) --------------------
@@ -407,11 +408,13 @@ def test_table_scan_matches_raw_table_bruteforce(field, du, dv):
 
 @pytest.mark.parametrize(
     "field,du,dv,additive,bad",
-    [(Z3, 2, 2, 81, 0), (GF4, 2, 1, 256, 240), (Z2, 9, 1, 512, 0)],
-    ids=["Z3-2-2", "GF4-2-1", "Z2-9-1"],
+    [(Z3, 2, 2, 81, 0), (GF4, 2, 1, 256, 240), (Z2, 9, 1, 512, 0),
+     (GF9, 2, 1, 6561, 6480)],
+    ids=["Z3-2-2", "GF4-2-1", "Z2-9-1", "GF9-2-1"],
 )
 def test_table_scan_reaches_past_the_default_guard(field, du, dv, additive, bad):
-    # 3^36 (3.9e8), 4^16 (4.3e9) and 2^512 tables, opened by an explicit limit
+    # 3^36 (3.9e8), 4^16 (4.3e9), 2^512 and 9^81 tables, opened by an
+    # explicit limit
     tables = field.order ** (dv * field.order**du)
     assert tables > search.DEFAULT_MAX_CANDIDATES
     start = time.perf_counter()
@@ -420,6 +423,27 @@ def test_table_scan_reaches_past_the_default_guard(field, du, dv, additive, bad)
     assert report.tables_total == tables
     assert report.additive_count == additive
     assert report.additive_nonhomogeneous_count == bad
+
+
+@pytest.mark.parametrize(
+    "field,du,dv,leaves", [(Z2, 9, 1, 512), (GF9, 2, 1, 6561)],
+    ids=["Z2-9-1", "GF9-2-1"],
+)
+def test_table_scan_tests_one_table_per_additive_one(
+    monkeypatch, field, du, dv, leaves
+):
+    # only the free positions branch, so every filled table is additive
+    calls = []
+    is_additive = search._IndexTables.is_additive
+
+    def counting(self, phi):
+        calls.append(None)
+        return is_additive(self, phi)
+
+    monkeypatch.setattr(search._IndexTables, "is_additive", counting)
+    tables = field.order ** (dv * field.order**du)
+    report = scan_additive_tables(field, du, dv, max_candidates=tables)
+    assert report.additive_count == len(calls) == leaves
 
 
 def test_table_scan_stack_does_not_grow_with_the_domain():
