@@ -1,11 +1,11 @@
 """Exhaustive engines over finite fields.
 
-Two scans:
+Two scans, each a consumer of one walk over tuples of codomain value ranks:
 
   * the orbit-table scan enumerates every homogeneous map F^du -> F^dv by
     assigning one codomain vector per scalar orbit (phi(0) = 0 is forced),
-    filters by exhaustive additivity, and reports how many homogeneous maps
-    are additive and the canonically-first one that is not;
+    filters by exhaustive additivity, counts the additive ones and reports
+    the canonically-first one that is not, or streams all that are not;
 
   * the raw table scan walks the maps F^du -> F^dv through their values at
     the free positions of the constraint set (the d*du basis ranks) and
@@ -15,7 +15,7 @@ Two scans:
 
 Both test a candidate, given as the list of its value indices, against one
 constraint set (_IndexTables) built once per call by rank arithmetic, so
-the inner loops never touch field elements.  Counts are exact Python ints,
+the walk never touches field elements.  Counts are exact Python ints,
 checked against the paper's closed forms.  Both scans run in one process,
 in canonical order; the `jobs` setting is accepted for compatibility and
 selects nothing.
@@ -24,7 +24,8 @@ selects nothing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from .errors import (
     DEFAULT_MAX_CANDIDATES,
@@ -32,6 +33,7 @@ from .errors import (
     InfiniteFieldError,
     NotPrimeField,
     SearchSpaceTooLarge,
+    SpecFormatError,
 )
 from .fields import Field, PrimeField
 from .maps import (
@@ -86,15 +88,18 @@ class _IndexTables:
         basis = [p**k for k in range(crows.field.digits * domain.dim)]
         self.sums = [(i, e, i + e if i // e % p != p - 1 else i - (p - 1) * e)
                      for i in range(n) for e in basis]
-        self.orbits = domain.orbits()
+        self.reps = [domain.rank(orb.representative) for orb in domain.orbits()]
         # per nonzero domain vector g^k*rep: (orbit index, codomain action of g^k)
         orbit_of = [None] * n
-        for orb in self.orbits:
-            i = domain.rank(orb.representative)
+        for o, i in enumerate(self.reps):
             for act in cpow:
-                orbit_of[i] = (orb.index, act)
+                orbit_of[i] = (o, act)
                 i = self.scales[i]
         self.orbit_of = orbit_of[1:]
+
+    def walk(self, slots, fill):
+        """fill(values) per tuple of slots value ranks, slot 0 slowest, lazily."""
+        return map(fill, itertools.product(range(len(self.cvecs)), repeat=slots))
 
     def phi_from_assignment(self, assign):
         """Index table of the orbit map with the given per-orbit value ranks."""
@@ -115,9 +120,10 @@ class _IndexTables:
         entries = {v: self.cvecs[phi[i]] for i, v in enumerate(self.dvecs)}
         return TableMap(self.domain, self.codomain, entries)
 
-    def orbit_map(self, assign) -> OrbitTableMap:
+    def orbit_map(self, phi) -> OrbitTableMap:
+        """The orbit map of phi: phi at each representative, where g^0 = 1 acts."""
         return OrbitTableMap(
-            self.domain, self.codomain, [self.cvecs[r] for r in assign]
+            self.domain, self.codomain, [self.cvecs[phi[i]] for i in self.reps]
         )
 
 
@@ -167,7 +173,7 @@ class SearchConfig:
     field: Field
     domain_dim: int
     codomain_dim: int
-    mode: str = "first_witness"  # count_only | first_witness | enumerate_all
+    mode: str = "first_witness"  # count_only | first_witness | enumerate_all (streams)
     max_candidates: int = DEFAULT_MAX_CANDIDATES
     jobs: int = 1  # accepted for compatibility; the search runs in one process
 
@@ -182,7 +188,7 @@ class SearchResult:
     homogeneous_additive_count: int
     witness_map: OrbitTableMap | None = None
     witness_report: CheckReport | None = None
-    witness_maps: list = dataclass_field(default_factory=list)
+    witness_maps: Iterator[OrbitTableMap] = ()  # enumerate_all: one pass, in order
 
     @property
     def non_additive_count(self) -> int:
@@ -215,28 +221,23 @@ def search_homogeneous_nonadditive(config: SearchConfig) -> SearchResult:
     report the canonically-first homogeneous non-additive map, re-verified
     through the map checkers before it is returned."""
     field, du, dv = config.field, config.domain_dim, config.codomain_dim
+    if config.mode not in (modes := ("count_only", "first_witness", "enumerate_all")):
+        raise SpecFormatError(f"search mode {config.mode!r} is not {' | '.join(modes)}")
     total, tables = _guarded_tables(field, du, dv, True, config.max_candidates)
-    collect_all = config.mode == "enumerate_all"
+    slots, fill = len(tables.reps), tables.phi_from_assignment
     additive = 0
     first_bad = None
-    witness_maps = []
-    # orbit-major, value-rank minor: the canonical assignment order
-    for assign in itertools.product(
-        range(len(tables.cvecs)), repeat=len(tables.orbits)
-    ):
-        if tables.is_additive(tables.phi_from_assignment(assign)):
+    for phi in tables.walk(slots, fill):
+        if tables.is_additive(phi):
             additive += 1
-            continue
-        if first_bad is None:
-            first_bad = assign
-        if collect_all:
-            witness_maps.append(tables.orbit_map(assign))
+        elif first_bad is None:
+            first_bad = phi
     _closed_form(additive, count_linear(field, du, dv))
     witness_map = report = None
     if config.mode != "count_only" and first_bad is not None:
         witness_map = tables.orbit_map(first_bad)
         report = _reverify(witness_map, check_homogeneous, check_additive)
-    return SearchResult(
+    result = SearchResult(
         field_descriptor=field.descriptor(),
         domain_dim=du,
         codomain_dim=dv,
@@ -245,8 +246,11 @@ def search_homogeneous_nonadditive(config: SearchConfig) -> SearchResult:
         homogeneous_additive_count=additive,
         witness_map=witness_map,
         witness_report=report,
-        witness_maps=witness_maps,
     )
+    if config.mode == "enumerate_all":  # a second walk, run as it is consumed
+        result.witness_maps = (tables.orbit_map(phi) for phi in tables.walk(slots, fill)
+                               if not tables.is_additive(phi))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -298,28 +302,30 @@ def scan_additive_tables(
     d*du basis ranks).  The walk takes the product of the values at the free
     positions, fills in the fixed ones in ascending order and keeps the
     tables that pass is_additive.  Each fixed position depends only on
-    earlier ones, so the tables come in itertools.product order (position 0
-    slowest, values by rank)."""
+    earlier ones, so the tables come in the order of a product over whole
+    tables (position 0 slowest, values by rank)."""
     total, tables = _guarded_tables(field, du, dv, False, max_candidates)
     n, cadd = len(tables.dvecs), tables.cadd
     fixed = {k: (i, e) for i, e, k in tables.sums if i < k and e < k}
     free = [k for k in range(1, n) if k not in fixed]
-    fill = sorted(fixed.items())
+    plan = sorted(fixed.items())
     phi = [0] * n
-    additive = bad = 0
-    first_bad = None
-    for values in itertools.product(range(len(tables.cvecs)), repeat=len(free)):
+
+    def fill(values):
         for k, v in zip(free, values):
             phi[k] = v
-        for k, (i, e) in fill:
+        for k, (i, e) in plan:
             phi[k] = cadd[phi[i]][phi[e]]
-        if not tables.is_additive(phi):
-            continue
+        return phi
+
+    additive = bad = 0
+    first_bad = None
+    for table in filter(tables.is_additive, tables.walk(len(free), fill)):
         additive += 1
-        if not tables.is_homogeneous(phi):
+        if not tables.is_homogeneous(table):
             bad += 1
             if first_bad is None:
-                first_bad = tables.table_map(phi)
+                first_bad = tables.table_map(table)
     d = getattr(field, "degree", 1)  # additive tables are the Z_p-linear maps
     _closed_form(additive, field.characteristic ** (d * du * d * dv))
     if first_bad is not None:

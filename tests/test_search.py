@@ -4,13 +4,14 @@ import itertools
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import addhom
 from addhom import search
-from addhom.errors import NotPrimeField, SearchSpaceTooLarge
+from addhom.errors import NotPrimeField, SearchSpaceTooLarge, SpecFormatError
 from addhom.fields import PrimeField, Rationals, gf
 from addhom.maps import (
     EXHAUSTIVE,
@@ -183,8 +184,41 @@ def test_search_builds_index_tables_once(monkeypatch, mode, jobs):
         init(self, *args)
 
     monkeypatch.setattr(search._IndexTables, "__init__", counting_init)
-    search_homogeneous_nonadditive(SearchConfig(Z3, 2, 1, mode=mode, jobs=jobs))
+    result = search_homogeneous_nonadditive(
+        SearchConfig(Z3, 2, 1, mode=mode, jobs=jobs)
+    )
+    listed = list(result.witness_maps)  # the stream reuses the search's tables
+    assert len(listed) == (result.non_additive_count if mode == "enumerate_all" else 0)
     assert len(calls) == 1
+
+
+def test_search_refuses_an_unknown_mode_before_building_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("index tables built for an unknown mode")
+
+    monkeypatch.setattr(search._IndexTables, "__init__", refuse)
+    for du in (2, 20):  # 20 would trip the candidate guard
+        with pytest.raises(SpecFormatError) as err:
+            search_homogeneous_nonadditive(SearchConfig(Z3, du, 1, mode="bogus"))
+        for mode in ("count_only", "first_witness", "enumerate_all"):
+            assert mode in str(err.value)
+
+
+def test_enumerate_all_streams_its_witnesses():
+    first = search_homogeneous_nonadditive(SearchConfig(Z3, 2, 2))
+    tracemalloc.start()
+    try:
+        result = search_homogeneous_nonadditive(
+            SearchConfig(Z3, 2, 2, mode="enumerate_all")
+        )
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 6480 non-additive maps, held as a list, take several MB
+    assert held < 0.5 * 2**20
+    listed = [map_to_dict(m) for m in result.witness_maps]
+    assert len(listed) == result.non_additive_count == 6480
+    assert listed[0] == map_to_dict(first.witness_map)
 
 
 def test_cli_import_leaves_out_process_pool():
