@@ -1,7 +1,49 @@
-"""Exception taxonomy shared by the whole package, and the default limit of
-the guard that raises SearchSpaceTooLarge."""
+"""Exception taxonomy shared by the whole package, the default limit of the
+guard that raises SearchSpaceTooLarge, and the base of its result records."""
 
 DEFAULT_MAX_CANDIDATES = 10**8
+
+
+class Record:
+    """A record declared like a dataclass, by annotated fields with optional
+    defaults, but built without generating code at import: construction by
+    position or keyword, field-wise equality and repr; unhashable, as
+    assignment may change it."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {k: cls.__dict__[k] for k in cls._fields if k in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if not kwargs and len(args) == len(names):
+            self.__dict__.update(zip(names, args))
+            return
+        # a field given by position and by keyword raises here
+        self.__dict__.update(self._defaults, **dict(zip(names, args)), **kwargs)
+        if len(args) > len(names) or self.__dict__.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record that refuses assignment and hashes by its fields."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, k) for k in self._fields]))
 
 
 class AddhomError(Exception):

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -45,9 +44,11 @@ from .errors import (
     CharacteristicTwo,
     DimensionMismatch,
     DomainMismatch,
+    FrozenRecord,
     InfiniteDomainExhaustive,
     InfiniteFieldError,
     NotAnExtension,
+    Record,
     SearchSpaceTooLarge,
     SpecFormatError,
     ZeroDenominator,
@@ -56,8 +57,7 @@ from .fields import ExtensionField, Field, PrimeField, Rationals, numerators, pa
 from .spaces import SpaceRows, VectorSpace, split_top_level
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(FrozenRecord):
     """A concrete violation: kind is "additivity" (inputs u1, u2) or
     "homogeneity" (inputs lam, u); lhs != rhs by construction."""
 
@@ -67,8 +67,7 @@ class Witness:
     rhs: tuple
 
 
-@dataclass(frozen=True)
-class Sampled:
+class Sampled(FrozenRecord):
     """Deterministic sampled checking strategy."""
 
     seed: int = 24001
@@ -78,8 +77,7 @@ class Sampled:
 EXHAUSTIVE = "exhaustive"
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     property: str  # additive | homogeneous | linear
     verdict: str  # holds_exhaustive | holds_on_samples | violated
     witness: Witness | None
@@ -401,15 +399,26 @@ class _RankTable:
 def _memo(m: VectorMap, strategy):
     """What one checker call evaluates m through, so that it evaluates each
     distinct input at most once: a rank table for an exhaustive scan,
-    otherwise m.evaluate behind a dict filled on first use."""
+    otherwise m.evaluate behind a dict filled on first use.  Fraction hashes
+    are not cached (a modular inverse each), so vectors over Q and Q(a) are
+    keyed by the integer pairs of their coefficients."""
     if strategy == EXHAUSTIVE:
         return _RankTable(m)
-    values = {}
+    values, field = {}, m.domain.field
+    if field.characteristic:
+        key = None
+    elif isinstance(field, Rationals):
+        def key(v):
+            return tuple([c.as_integer_ratio() for c in v])
+    else:  # Q(a): every coordinate holds degree coefficients
+        def key(v):
+            return tuple([c.as_integer_ratio() for x in v for c in x])
 
     def evaluate(v):
-        out = values.get(v)
+        k = key(v) if key else v
+        out = values.get(k)
         if out is None:
-            out = values[v] = m.evaluate(v)
+            out = values[k] = m.evaluate(v)
         return out
 
     return evaluate
@@ -489,8 +498,7 @@ def check_linear(m: VectorMap, strategy=None) -> CheckReport:
 # executable proof trace for the rational branch
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceIdentity:
+class TraceIdentity(FrozenRecord):
     label: str
     lhs: tuple
     rhs: tuple

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import (
     DEFAULT_MAX_CANDIDATES,
     DimensionMismatch,
     InfiniteFieldError,
     NotPrimeField,
+    Record,
     SearchSpaceTooLarge,
     SpecFormatError,
 )
@@ -168,8 +168,7 @@ def _reverify(m, holds, fails) -> CheckReport:
 # homogeneous-but-not-additive search over orbit tables
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SearchConfig:
+class SearchConfig(Record):
     field: Field
     domain_dim: int
     codomain_dim: int
@@ -178,8 +177,7 @@ class SearchConfig:
     jobs: int = 1  # accepted for compatibility; the search runs in one process
 
 
-@dataclass
-class SearchResult:
+class SearchResult(Record):
     field_descriptor: str
     domain_dim: int
     codomain_dim: int
@@ -257,8 +255,7 @@ def search_homogeneous_nonadditive(config: SearchConfig) -> SearchResult:
 # raw table scan: machine check of the prime-field implication
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TableScanReport:
+class TableScanReport(Record):
     field_descriptor: str
     domain_dim: int
     codomain_dim: int

@@ -12,11 +12,11 @@ checkers and the search's index tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
+    FrozenRecord,
     InfiniteFieldError,
     SpecFormatError,
     ZeroVector,
@@ -24,8 +24,7 @@ from .errors import (
 from .fields import Field, FieldRows, rank_product
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(FrozenRecord):
     representative: tuple
     size: int
     index: int

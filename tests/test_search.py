@@ -11,12 +11,21 @@ import pytest
 
 import addhom
 from addhom import search
-from addhom.errors import NotPrimeField, SearchSpaceTooLarge, SpecFormatError
+from addhom.errors import (
+    DEFAULT_MAX_CANDIDATES,
+    NotPrimeField,
+    SearchSpaceTooLarge,
+    SpecFormatError,
+)
 from addhom.fields import PrimeField, Rationals, gf
 from addhom.maps import (
     EXHAUSTIVE,
+    CheckReport,
     IndicatorMap,
     OrbitTableMap,
+    Sampled,
+    TraceIdentity,
+    Witness,
     check_additive,
     check_homogeneous,
     check_linear,
@@ -24,13 +33,15 @@ from addhom.maps import (
 )
 from addhom.search import (
     SearchConfig,
+    SearchResult,
+    TableScanReport,
     count_homogeneous,
     count_linear,
     scan_additive_tables,
     search_homogeneous_nonadditive,
     verify_theorem1_prime,
 )
-from addhom.spaces import VectorSpace
+from addhom.spaces import Orbit, VectorSpace
 
 Z2 = PrimeField(2)
 Z3 = PrimeField(3)
@@ -221,12 +232,70 @@ def test_enumerate_all_streams_its_witnesses():
     assert listed[0] == map_to_dict(first.witness_map)
 
 
+# the package's records: construction, defaults, equality, frozenness --------
+
+RECORDS = [  # class, every field in order, defaults of the trailing ones, frozen
+    (Witness, {"kind": "additivity", "inputs": ((0,), (1,)), "lhs": (1,), "rhs": (0,)},
+     {}, True),
+    (Sampled, {"seed": 7, "samples": 3}, {"seed": 24001, "samples": 200}, True),
+    (CheckReport, {"property": "additive", "verdict": "violated", "witness": None,
+                   "pairs_checked": 4}, {}, False),
+    (TraceIdentity, {"label": "step", "lhs": (1,), "rhs": (2,)}, {}, True),
+    (Orbit, {"representative": (0, 1), "size": 2, "index": 0}, {}, True),
+    (SearchConfig, {"field": Z3, "domain_dim": 2, "codomain_dim": 1,
+                    "mode": "count_only", "max_candidates": 9, "jobs": 2},
+     {"mode": "first_witness", "max_candidates": DEFAULT_MAX_CANDIDATES, "jobs": 1},
+     False),
+    (SearchResult, {"field_descriptor": "Fp:3", "domain_dim": 2, "codomain_dim": 1,
+                    "mode": "enumerate_all", "homogeneous_count": 81,
+                    "homogeneous_additive_count": 9, "witness_map": "map",
+                    "witness_report": "report", "witness_maps": ["maps"]},
+     {"witness_map": None, "witness_report": None, "witness_maps": ()}, False),
+    (TableScanReport, {"field_descriptor": "Fp:2", "domain_dim": 1, "codomain_dim": 1,
+                       "tables_total": 4, "additive_count": 2,
+                       "expected_additive": 2, "additive_nonhomogeneous_count": 0,
+                       "first_nonhomogeneous": "map"},
+     {"first_nonhomogeneous": None}, False),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults, frozen", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(cls, fields, defaults, frozen):
+    by_position, by_keyword = cls(*fields.values()), cls(**fields)
+    assert by_position == by_keyword and not by_position != by_keyword
+    assert {k: getattr(by_keyword, k) for k in fields} == fields
+    bare = cls(**{k: v for k, v in fields.items() if k not in defaults})
+    assert {k: getattr(bare, k) for k in defaults} == defaults
+    last = list(fields)[-1]
+    assert cls(**{**fields, last: object()}) != by_keyword
+    assert by_keyword != tuple(fields.values())
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    with pytest.raises(TypeError):
+        cls(**fields, extra=None)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), **{last: None})
+    if len(defaults) < len(fields):
+        with pytest.raises(TypeError):
+            cls()
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, last, None)
+        assert hash(by_position) == hash(by_keyword)
+        assert {by_position: 1}[by_keyword] == 1
+    else:  # search sets SearchResult.witness_maps after construction
+        setattr(by_keyword, last, "later")
+        assert getattr(by_keyword, last) == "later" and by_keyword != by_position
+        with pytest.raises(TypeError):
+            hash(by_keyword)
+
+
 def test_cli_import_leaves_out_process_pool():
-    code = (
-        "import sys, addhom.cli; "
-        "print([m for m in ('concurrent.futures', 'multiprocessing') "
-        "if m in sys.modules])"
-    )
+    # nor dataclasses and what it imports: every CLI call would pay for them
+    unused = ("concurrent.futures", "multiprocessing",
+              "dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, addhom.cli; print([m for m in {unused!r} if m in sys.modules])"
     src = str(Path(addhom.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
