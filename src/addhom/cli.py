@@ -93,7 +93,7 @@ def _load_map(path: str):
     return map_from_json(text)
 
 
-def _resolve_cli_strategy(args, m):
+def _resolve_cli_strategy(args):
     if args.strategy == "exhaustive":
         return EXHAUSTIVE
     if args.strategy == "sampled":
@@ -103,7 +103,7 @@ def _resolve_cli_strategy(args, m):
 
 def _cmd_check(args) -> int:
     m = _load_map(args.input)
-    strategy = _resolve_cli_strategy(args, m)
+    strategy = _resolve_cli_strategy(args)
     checker = {
         "additive": check_additive,
         "homogeneous": check_homogeneous,

@@ -22,8 +22,9 @@ irreducibility test (Ben-Or) divide residue lists with a `% p` inline.
 Finite fields carry a canonical element order, "rank": residues by value,
 extension elements by sum(rank(c_i) * p**i) over ascending coefficients.
 Everything downstream that promises a deterministic "first witness" relies
-on this order, and FieldRows computes on it: addition and multiplication
-of ranks, for the exhaustive checkers and the search's index tables.
+on this order, and spaces.SpaceRows computes on it: addition and
+multiplication of ranks, for the exhaustive checkers and the search's index
+tables.
 """
 
 from __future__ import annotations
@@ -703,82 +704,6 @@ class ExtensionField(Field):
         if isinstance(self.base, PrimeField):
             return f"Fq:{self.base.p}:{coeffs}"
         return f"Qext:{coeffs}"
-
-
-# ---------------------------------------------------------------------------
-# rank rows: a finite field's addition and multiplication by element rank
-# ---------------------------------------------------------------------------
-
-def rank_product(rows, base: int) -> list:
-    """The ranks of the tuples in the product of rows, the first row
-    slowest: row entries x then y give x * base + y."""
-    out = rows[0]
-    for row in rows[1:]:
-        out = [x * base + y for x in out for y in row]
-    return out
-
-
-class FieldRows:
-    """Addition and multiplication of a finite field on element ranks: the
-    row of rank a lists rank(a + b), or rank(a * b), for every rank b.
-
-    A rank's base-p digits are its Z_p coefficients, so an addition row is
-    the product of Z_p rows, digit by digit, with no field call.
-    Multiplication goes through the logarithms of a primitive element g,
-    the first element by rank of order q - 1: exp[k] = rank(g^k) and
-    log[exp[k]] = k (the Zech construction; Lidl and Niederreiter, Finite
-    Fields, ch. 9).  Building them costs O(q) field operations, paid on the
-    first mul() (or read of exp/log), so addition rows alone cost none;
-    rows are built on request and not kept."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.q, self.p = field.order, field.characteristic
-        self.digits = field.degree if isinstance(field, ExtensionField) else 1
-        self._cycle = list(range(self.p)) * 2
-        self._tables = None
-
-    @property
-    def exp(self) -> list:
-        return self._logs()[0]
-
-    @property
-    def log(self) -> list:
-        return self._logs()[1]
-
-    def _logs(self):
-        """(exp, log), built on the first call."""
-        if self._tables is None:
-            field, q, one = self.field, self.q, self.field.one
-            for g in range(1, q):
-                gen, x, exp = field.element_from_rank(g), one, []
-                while True:
-                    exp.append(field.rank(x))
-                    x = field.mul(x, gen)
-                    if x == one:
-                        break
-                if len(exp) == q - 1:
-                    break
-            log = [0] * q
-            for k, r in enumerate(exp):
-                log[r] = k
-            self._tables = exp, log
-        return self._tables
-
-    def add(self, a: int) -> list:
-        p, rows = self.p, []
-        for _ in range(self.digits):
-            a, t = divmod(a, p)
-            rows.append(self._cycle[t:t + p])
-        return rank_product(rows[::-1], p)
-
-    def mul(self, a: int) -> list:
-        if a == 0:
-            return [0] * self.q
-        exp, log = self._logs()
-        k = log[a]
-        turned = exp[k:] + exp[:k]
-        return [0] + [turned[b] for b in log[1:]]
 
 
 # ---------------------------------------------------------------------------

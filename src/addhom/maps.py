@@ -361,7 +361,7 @@ class _RankTable:
     def scale_row(self, s: int):
         """Pairs (lam, v_j), lam of rank s: the rank of lam * v_j by j, and
         per codomain coordinate the field row that scales by lam."""
-        mul = self.rows.field.mul(s)
+        mul = self.rows.field_mul(s)
         return self.rows.act(s), [mul] * len(self.cols)
 
     def first_failure(self, row, outer: int, decode):
@@ -430,7 +430,9 @@ def _verdict(strategy) -> str:
 
 def _scan_additive(m: VectorMap, strategy, memo) -> CheckReport:
     """An exhaustive scan finds its first failing pair on ranks; that pair,
-    like every sampled one, is then evaluated on field elements."""
+    like every sampled one, is then evaluated on field elements, where it
+    must fail too: a rank row that disagrees with the field raises
+    AssertionError rather than passing the map."""
     if strategy == EXHAUSTIVE:
         checked, pairs = memo.first_failure(
             memo.sum_row, memo.size, m.domain.vector_from_rank
@@ -445,6 +447,8 @@ def _scan_additive(m: VectorMap, strategy, memo) -> CheckReport:
         if lhs != rhs:
             w = Witness("additivity", (u1, u2), lhs, rhs)
             return CheckReport("additive", "violated", w, checked)
+        if strategy == EXHAUSTIVE:
+            raise AssertionError("a pair that fails on ranks holds on field elements")
     return CheckReport("additive", _verdict(strategy), None, checked)
 
 
@@ -464,6 +468,8 @@ def _scan_homogeneous(m: VectorMap, strategy, memo) -> CheckReport:
         if lhs != rhs:
             w = Witness("homogeneity", (lam, u), lhs, rhs)
             return CheckReport("homogeneous", "violated", w, checked)
+        if strategy == EXHAUSTIVE:
+            raise AssertionError("a pair that fails on ranks holds on field elements")
     return CheckReport("homogeneous", _verdict(strategy), None, checked)
 
 

@@ -72,7 +72,7 @@ class _IndexTables:
     basis rank e = p^k, steps digit k mod p.  By induction on the digits phi
     is additive iff phi(i + e) = phi(i) + phi(e) for every i and e (i = 0
     gives phi(0) = 0): sums holds these n*d*du triples (i, e, i + e).  With g
-    the primitive element of FieldRows (1 if q = 2), phi is homogeneous iff
+    the primitive element of SpaceRows (1 if q = 2), phi is homogeneous iff
     phi(0) = 0 and phi(g*i) = gact[phi(i)], where scales[i] indexes g*v_i."""
 
     def __init__(self, domain: VectorSpace, codomain: VectorSpace):
@@ -81,11 +81,11 @@ class _IndexTables:
         n, q, p = len(self.dvecs), domain.field.order, domain.field.characteristic
         crows = SpaceRows(codomain)
         self.cadd = [crows.add(i) for i in range(len(self.cvecs))]
-        exp = crows.field.exp  # exp[k] = rank(g^k)
+        exp = crows.exp  # exp[k] = rank(g^k)
         cpow = [crows.act(s) for s in exp]  # codomain action of g^k
         k = 1 % (q - 1)  # exp[k] is g (k = 0 when q = 2, where g = 1)
         self.gact, self.scales = cpow[k], SpaceRows(domain).act(exp[k])
-        basis = [p**k for k in range(crows.field.digits * domain.dim)]
+        basis = [p**k for k in range(crows.digits * domain.dim)]
         self.sums = [(i, e, i + e if i // e % p != p - 1 else i - (p - 1) * e)
                      for i in range(n) for e in basis]
         self.reps = [domain.rank(orb.representative) for orb in domain.orbits()]

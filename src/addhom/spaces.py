@@ -5,8 +5,9 @@ lexicographic coordinate-rank order with coordinate 0 slowest.  Nonzero
 vectors fall into scalar orbits {lam * v : lam != 0}; each orbit has a
 unique canonical representative whose first nonzero coordinate is 1, which
 is what makes orbit-table maps well-defined.  SpaceRows gives a finite
-space's addition and scalar action on vector ranks, for the exhaustive
-checkers and the search's index tables.
+space's addition and scalar action on vector ranks, and its field's
+addition and multiplication on element ranks, for the exhaustive checkers
+and the search's index tables.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     SpecFormatError,
     ZeroVector,
 )
-from .fields import Field, FieldRows, rank_product
+from .fields import Field
 
 
 class Orbit(FrozenRecord):
@@ -175,26 +176,88 @@ class VectorSpace:
         return f"{self.field.descriptor()}^{self.dim}"
 
 
+def rank_product(rows, base: int) -> list:
+    """The ranks of the tuples in the product of rows, the first row
+    slowest: row entries x then y give x * base + y."""
+    out = rows[0]
+    for row in rows[1:]:
+        out = [x * base + y for x in out for y in row]
+    return out
+
+
 class SpaceRows:
     """Addition and scalar action of a finite space on vector ranks, in
     vectors() order: add(i)[j] = rank(v_i + v_j), act(s)[j] = rank(s * v_j)
     for the scalar of rank s.  With coordinate 0 slowest, a vector row is
-    the product of one field row per coordinate.  Field addition rows are
-    kept when dim >= 2, where all q^2 of their entries fit in one vector
-    row of q^dim; at dim 1 each is rebuilt on request."""
+    the product of one field row per coordinate.  The field rows are those
+    of the 1-dim space: field_add(a)[b] = rank(a + b) and field_mul(a)[b] =
+    rank(a * b) for field ranks a, b.
+
+    A field rank's base-p digits are its Z_p coefficients, so a field
+    addition row is the product of Z_p rows, digit by digit, with no field
+    call.  Multiplication goes through the logarithms of a primitive
+    element g, the first element by rank of order q - 1: exp[k] = rank(g^k)
+    and log[exp[k]] = k (the Zech construction; Lidl and Niederreiter,
+    Finite Fields, ch. 9).  Building them costs O(q) field operations, paid
+    on the first field_mul() (or read of exp/log), so addition rows alone
+    cost none.  Field addition rows are kept when dim >= 2, where all q^2
+    of their entries fit in one vector row of q^dim; at dim 1 each is
+    rebuilt on request.  No other row is kept."""
 
     def __init__(self, space: VectorSpace):
-        self.field = FieldRows(space.field)
-        self.q, self.dim = space.field.order, space.dim
-        self._adds = {} if space.dim >= 2 else None
+        field = self.field = space.field
+        self.q, self.p, self.dim = field.order, field.characteristic, space.dim
+        self.digits = getattr(field, "degree", 1)
+        self._cycle = list(range(self.p)) * 2
+        self._tables = None
+        self._adds = {}
+
+    @property
+    def exp(self) -> list:
+        return self._logs()[0]
+
+    @property
+    def log(self) -> list:
+        return self._logs()[1]
+
+    def _logs(self):
+        """(exp, log), built on the first call."""
+        if self._tables is None:
+            field, q, one = self.field, self.q, self.field.one
+            for g in range(1, q):
+                gen, x, exp = field.element_from_rank(g), one, []
+                while True:
+                    exp.append(field.rank(x))
+                    x = field.mul(x, gen)
+                    if x == one:
+                        break
+                if len(exp) == q - 1:
+                    break
+            log = [0] * q
+            for k, r in enumerate(exp):
+                log[r] = k
+            self._tables = exp, log
+        return self._tables
 
     def field_add(self, a: int) -> list:
-        if self._adds is None:
-            return self.field.add(a)
         row = self._adds.get(a)
         if row is None:
-            row = self._adds[a] = self.field.add(a)
+            p, rows, r = self.p, [], a
+            for _ in range(self.digits):
+                r, t = divmod(r, p)
+                rows.append(self._cycle[t:t + p])
+            row = rank_product(rows[::-1], p)
+            if self.dim >= 2:
+                self._adds[a] = row
         return row
+
+    def field_mul(self, a: int) -> list:
+        if a == 0:
+            return [0] * self.q
+        exp, log = self._logs()
+        k = log[a]
+        turned = exp[k:] + exp[:k]
+        return [0] + [turned[b] for b in log[1:]]
 
     def add(self, i: int) -> list:
         q, rows = self.q, []
@@ -204,4 +267,4 @@ class SpaceRows:
         return rank_product(rows[::-1], q)
 
     def act(self, s: int) -> list:
-        return rank_product([self.field.mul(s)] * self.dim, self.q)
+        return rank_product([self.field_mul(s)] * self.dim, self.q)

@@ -306,7 +306,8 @@ def test_malformed_spec_exits_2(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_closed_stdout_exits_141_quietly(unbuffered):
-    env = {"PYTHONPATH": str(Path(addhom.__file__).resolve().parents[1])}
+    env = {"PYTHONPATH": str(Path(addhom.__file__).resolve().parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()

@@ -27,7 +27,6 @@ from addhom.errors import (
 from addhom.fields import (
     PRIME_LIMIT,
     ExtensionField,
-    FieldRows,
     PrimeField,
     Rationals,
     find_irreducible,
@@ -37,6 +36,7 @@ from addhom.fields import (
     parse_field,
 )
 from addhom.maps import EXHAUSTIVE, KLinearExtensionMap, check_additive
+from addhom.spaces import SpaceRows, VectorSpace
 
 Q = Rationals()
 Z2 = PrimeField(2)
@@ -723,7 +723,7 @@ def test_klinear_evaluate_matches_field_operations(field, monkeypatch):
     ids=lambda f: f.descriptor(),
 )
 def test_rank_rows_match_field_operations(field):
-    rows = FieldRows(field)
+    rows = SpaceRows(VectorSpace(field, 1))
     q, elems = field.order, list(field.elements())
     assert sorted(rows.exp) == list(range(1, q))
     assert all(rows.log[r] == k for k, r in enumerate(rows.exp))
@@ -734,7 +734,7 @@ def test_rank_rows_match_field_operations(field):
         x, order = field.mul(x, g), order + 1
     assert order == q - 1
     for a, ea in enumerate(elems):
-        add, mul = rows.add(a), rows.mul(a)
+        add, mul = rows.field_add(a), rows.field_mul(a)
         for b, eb in enumerate(elems):
             assert elems[add[b]] == field.add(ea, eb)
             assert elems[mul[b]] == field.mul(ea, eb)
@@ -777,12 +777,12 @@ def test_poly_helpers_trim_and_mul():
 
 def test_additivity_check_builds_no_log_table(monkeypatch):
     # the addition rows need no logarithms: an exhaustive additivity check
-    # over GF(81) must not build FieldRows.exp/log (81 field products)
+    # over GF(81) must not build SpaceRows.exp/log (81 field products)
     made, builds = [], []
-    init, logs = FieldRows.__init__, FieldRows._logs
+    init, logs = SpaceRows.__init__, SpaceRows._logs
 
-    def record_init(self, field):
-        init(self, field)
+    def record_init(self, space):
+        init(self, space)
         made.append(self)
 
     def record_logs(self):
@@ -790,11 +790,11 @@ def test_additivity_check_builds_no_log_table(monkeypatch):
             builds.append(self)
         return logs(self)
 
-    monkeypatch.setattr(FieldRows, "__init__", record_init)
-    monkeypatch.setattr(FieldRows, "_logs", record_logs)
+    monkeypatch.setattr(SpaceRows, "__init__", record_init)
+    monkeypatch.setattr(SpaceRows, "_logs", record_logs)
     field = gf(3, 4)
     m = KLinearExtensionMap(field, (field.generator,) * field.degree)
     assert check_additive(m, EXHAUSTIVE).verdict == "holds_exhaustive"
     assert made and not builds
-    assert made[0].mul(1) == list(range(field.order))  # built on request
+    assert made[0].field_mul(1) == list(range(field.order))  # built on request
     assert builds == [made[0]]

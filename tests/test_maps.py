@@ -47,7 +47,7 @@ from addhom.maps import (
     rational_proof_trace,
     report_to_dict,
 )
-from addhom.spaces import VectorSpace
+from addhom.spaces import SpaceRows, VectorSpace
 
 Q = Rationals()
 Z2 = PrimeField(2)
@@ -501,6 +501,35 @@ def test_rank_scans_check_each_value(prop, value, error, at):
         CHECKERS[prop](m, EXHAUSTIVE)
     with pytest.raises(error):
         _unmemoized_check(m, prop, EXHAUSTIVE)
+
+
+@pytest.mark.parametrize(
+    "check,row,at",
+    [(check_additive, "add", 0), (check_homogeneous, "act", 1)],
+    ids=["additive", "homogeneous"],
+)
+def test_rank_scans_raise_when_rank_rows_disagree_with_the_field(
+    monkeypatch, check, row, at
+):
+    # phi(v) = (v_0^2,) on Z_3^2 is neither additive nor homogeneous.  Entry
+    # 3 of SpaceRows.add(0) or .act(1) set from 3 to 1 makes the pair (v_0,
+    # v_3), or (1, v_3), fail on ranks before the first real failure; that
+    # pair holds on field elements, so the scan must raise, not pass phi
+    space = VectorSpace(Z3, 2)
+    m = TableMap(space, VectorSpace(Z3, 1),
+                 {v: (v[0] * v[0] % 3,) for v in space.vectors()})
+    assert check(m, EXHAUSTIVE).verdict == "violated"
+    build = getattr(SpaceRows, row)
+
+    def corrupted(self, i):
+        out = list(build(self, i))
+        if i == at:
+            out[3] = 1
+        return out
+
+    monkeypatch.setattr(SpaceRows, row, corrupted)
+    with pytest.raises(AssertionError):
+        check(m, EXHAUSTIVE)
 
 
 @pytest.mark.parametrize("check", [check_additive, check_homogeneous])

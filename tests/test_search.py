@@ -299,7 +299,7 @@ def test_cli_import_leaves_out_process_pool():
     src = str(Path(addhom.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
-        check=True, env={"PYTHONPATH": src},
+        check=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     ).stdout
     assert out.strip() == "[]"
 
