@@ -93,17 +93,12 @@ def _load_map(path: str):
     return map_from_json(text)
 
 
-def _resolve_cli_strategy(args):
-    if args.strategy == "exhaustive":
-        return EXHAUSTIVE
-    if args.strategy == "sampled":
-        return Sampled(seed=args.seed, samples=args.samples)
-    return None  # per-map default: exhaustive when finite, sampled otherwise
-
-
 def _cmd_check(args) -> int:
     m = _load_map(args.input)
-    strategy = _resolve_cli_strategy(args)
+    # per-map default: exhaustive when finite, sampled (with the flags) otherwise
+    strategy = args.strategy or (EXHAUSTIVE if m.domain.is_finite else "sampled")
+    if strategy == "sampled":
+        strategy = Sampled(seed=args.seed, samples=args.samples)
     checker = {
         "additive": check_additive,
         "homogeneous": check_homogeneous,

@@ -83,7 +83,14 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """Common surface of all supported scalar fields."""
+    """Common surface of all supported scalar fields.
+
+    Each subclass gives add, mul, neg and inv; contains, encode, decode and
+    descriptor; embed(value, char), which takes a prime-subfield scalar (a
+    rational for char 0, a residue mod p for char p); and random_element(rng)
+    for the sampled checking strategy, deterministic per rng: rationals
+    draw the numerator from [-9, 9] and the denominator from [1, 9].
+    Finite fields also give rank and element_from_rank."""
 
     characteristic: int
     order: int | None  # None for infinite fields
@@ -92,27 +99,11 @@ class Field:
     def is_finite(self) -> bool:
         return self.order is not None
 
-    # arithmetic -------------------------------------------------------
-
-    def add(self, a, b):
-        raise NotImplementedError
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    # enumeration ------------------------------------------------------
 
     def elements(self):
         """All elements in rank order; finite fields only."""
@@ -121,43 +112,11 @@ class Field:
         for r in range(self.order):
             yield self.element_from_rank(r)
 
-    def rank(self, a) -> int:
-        raise NotImplementedError
-
-    def element_from_rank(self, r: int):
-        raise NotImplementedError
-
-    # prime subfield ---------------------------------------------------
-
-    def embed(self, value, char: int):
-        """Embed a prime-subfield scalar (a rational for char 0, a residue
-        mod p for char p) into this field."""
-        raise NotImplementedError
-
     def from_int(self, n: int):
         """The element n * 1."""
         if self.characteristic == 0:
             return self.embed(Fraction(n), 0)
         return self.embed(n % self.characteristic, self.characteristic)
-
-    # misc -------------------------------------------------------------
-
-    def contains(self, a) -> bool:
-        raise NotImplementedError
-
-    def random_element(self, rng):
-        """Deterministic sampling used by the sampled checking strategy.
-        Rationals draw numerator in [-9, 9] and denominator in [1, 9]."""
-        raise NotImplementedError
-
-    def encode(self, a) -> str:
-        raise NotImplementedError
-
-    def decode(self, text: str):
-        raise NotImplementedError
-
-    def descriptor(self) -> str:
-        raise NotImplementedError
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.descriptor() == other.descriptor()

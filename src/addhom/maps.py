@@ -610,8 +610,10 @@ def _decode_map(d: dict) -> VectorMap:
     """Every check that needs no space runs before one is built: a
     VectorSpace holds a zero vector of its dimension, which is untrusted."""
     field = parse_field(d["field"])
-    du = int(d["domain_dim"])
-    dv = int(d["codomain_dim"])
+    du, dv = d["domain_dim"], d["codomain_dim"]
+    for key, dim in (("domain_dim", du), ("codomain_dim", dv)):
+        if type(dim) is not int:
+            raise SpecFormatError(f"{key} must be a JSON integer, not {dim!r}")
     body = d["map"]
     kind = body["kind"]
     if min(du, dv) < 1:

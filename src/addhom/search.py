@@ -72,19 +72,21 @@ class _IndexTables:
     basis rank e = p^k, steps digit k mod p.  By induction on the digits phi
     is additive iff phi(i + e) = phi(i) + phi(e) for every i and e (i = 0
     gives phi(0) = 0): sums holds these n*d*du triples (i, e, i + e).  With g
-    the primitive element of SpaceRows (1 if q = 2), phi is homogeneous iff
-    phi(0) = 0 and phi(g*i) = gact[phi(i)], where scales[i] indexes g*v_i."""
+    the primitive element of SpaceRows (1 if q = 2), scales[i] indexes g*v_i,
+    and orbit_of names each nonzero g^k*rep by its orbit and the codomain
+    action of g^k; phi is homogeneous iff it is the orbit map of its own
+    values at the representatives."""
 
     def __init__(self, domain: VectorSpace, codomain: VectorSpace):
         self.domain, self.codomain = domain, codomain
-        self.dvecs, self.cvecs = list(domain.vectors()), list(codomain.vectors())
-        n, q, p = len(self.dvecs), domain.field.order, domain.field.characteristic
+        self.cvecs = list(codomain.vectors())
+        n, q, p = domain.size, domain.field.order, domain.field.characteristic
         crows = SpaceRows(codomain)
         self.cadd = [crows.add(i) for i in range(len(self.cvecs))]
         exp = crows.exp  # exp[k] = rank(g^k)
         cpow = [crows.act(s) for s in exp]  # codomain action of g^k
         k = 1 % (q - 1)  # exp[k] is g (k = 0 when q = 2, where g = 1)
-        self.gact, self.scales = cpow[k], SpaceRows(domain).act(exp[k])
+        self.scales = SpaceRows(domain).act(exp[k])
         basis = [p**k for k in range(crows.digits * domain.dim)]
         self.sums = [(i, e, i + e if i // e % p != p - 1 else i - (p - 1) * e)
                      for i in range(n) for e in basis]
@@ -113,11 +115,11 @@ class _IndexTables:
         return True
 
     def is_homogeneous(self, phi) -> bool:
-        act = self.gact
-        return phi[0] == 0 and [phi[k] for k in self.scales] == [act[v] for v in phi]
+        return phi == self.phi_from_assignment([phi[i] for i in self.reps])
 
     def table_map(self, phi) -> TableMap:
-        entries = {v: self.cvecs[phi[i]] for i, v in enumerate(self.dvecs)}
+        vector = self.domain.vector_from_rank
+        entries = {vector(i): self.cvecs[v] for i, v in enumerate(phi)}
         return TableMap(self.domain, self.codomain, entries)
 
     def orbit_map(self, phi) -> OrbitTableMap:
@@ -302,7 +304,7 @@ def scan_additive_tables(
     earlier ones, so the tables come in the order of a product over whole
     tables (position 0 slowest, values by rank)."""
     total, tables = _guarded_tables(field, du, dv, False, max_candidates)
-    n, cadd = len(tables.dvecs), tables.cadd
+    n, cadd = tables.domain.size, tables.cadd
     fixed = {k: (i, e) for i, e, k in tables.sums if i < k and e < k}
     free = [k for k in range(1, n) if k not in fixed]
     plan = sorted(fixed.items())
@@ -327,13 +329,15 @@ def scan_additive_tables(
     _closed_form(additive, field.characteristic ** (d * du * d * dv))
     if first_bad is not None:
         _reverify(first_bad, check_additive, check_homogeneous)
+    linear = count_linear(field, du, dv)
+    _closed_form(additive - bad, linear)  # A and H iff linear
     return TableScanReport(
         field_descriptor=field.descriptor(),
         domain_dim=du,
         codomain_dim=dv,
         tables_total=total,
         additive_count=additive,
-        expected_additive=count_linear(field, du, dv),
+        expected_additive=linear,
         additive_nonhomogeneous_count=bad,
         first_nonhomogeneous=first_bad,
     )

@@ -40,6 +40,16 @@ def test_find_irreducible(capsys):
     assert payload["field"] == "Fq:2:1,1,0,1"
 
 
+def test_find_irreducible_text(capsys):
+    code, out, _ = run(capsys, "field", "find-irreducible", "--p", "3", "--degree", "3")
+    assert code == 0
+    assert out.splitlines() == [
+        "x^3 + 2*x + 1",
+        "coefficients (ascending): 1,2,0,1",
+        "field descriptor: Fq:3:1,2,0,1",
+    ]
+
+
 def test_counterexample_then_check_roundtrip(tmp_path, capsys):
     spec = tmp_path / "m.json"
     code, _, _ = run(
@@ -85,6 +95,18 @@ def test_check_ratio_q_sampled_default(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["witness"]["inputs"] == ["(1,0)", "(0,1)"]
     assert payload["witness"]["lhs"] == "(1/2)"
+
+
+def test_check_default_sampled_run_uses_seed_and_samples(tmp_path, capsys):
+    spec = tmp_path / "thm1_q.json"
+    run(capsys, "counterexample", "theorem1", "--field", "Qext:-2,0,1",
+        "--out", str(spec))
+    flags = ["check", "--input", str(spec), "--property", "additive",
+             "--seed", "7", "--samples", "3", "--format", "json"]
+    _, default, _ = run(capsys, *flags)
+    _, sampled, _ = run(capsys, *flags, "--strategy", "sampled")
+    assert default == sampled
+    assert json.loads(default)["pairs_checked"] == 8  # 5 corner pairs + 3 samples
 
 
 def test_text_and_json_agree(tmp_path, capsys):
@@ -291,8 +313,10 @@ def _table_spec(body):
         b"\xff\xfe\x00 not utf-8",
         _table_spec({"kind": "table",
                      "entries": [["(0)", "(0)"], ["(1)", "(1)"], ["(1)", "(0)"]]}),
+        json.dumps({"field": "Fp:2", "domain_dim": 2.7, "codomain_dim": 1,
+                    "map": {"kind": "indicator"}}).encode(),
     ],
-    ids=["no-entries", "int-value", "not-utf8", "duplicate-input"],
+    ids=["no-entries", "int-value", "not-utf8", "duplicate-input", "float-dim"],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, content):
     spec = tmp_path / "bad.json"

@@ -720,3 +720,69 @@ def test_map_spec_validation_errors():
             map_from_dict(
                 {"field": field, "domain_dim": 1, "codomain_dim": 1, "map": body}
             )
+    # dimensions are JSON integers, not anything int() accepts
+    for dim in (2.7, "2", " 2 ", True):
+        for key in ("domain_dim", "codomain_dim"):
+            spec = {"field": "Fp:2", "domain_dim": 2, "codomain_dim": 1,
+                    "map": {"kind": "indicator"}, key: dim}
+            with pytest.raises(SpecFormatError,
+                               match=f"^{key} must be a JSON integer, not {dim!r}$"):
+                map_from_dict(spec)
+
+
+@pytest.mark.parametrize(
+    "field,du,body,message",
+    [
+        ("Fp:2", 1, {"kind": "table", "entries": [["(0)", "(0)"], ["(0)", "(1)"]]},
+         r"^table input \(0\) listed twice$"),
+        ("Fp:3", 2, {"kind": "orbit_table", "values": [
+            ["(0,1)", "(0)"], ["(0,1)", "(1)"], ["(1,0)", "(1)"], ["(1,1)", "(1)"]]},
+         r"^orbit representative \(0,1\) listed twice$"),
+        ("Fp:3", 1, {"kind": "orbit_table", "values": [["(2)", "(1)"]]},
+         "^orbit table must cover every orbit exactly once$"),
+        # the shape is checked before the first value's dimension is read
+        ("Fp:2", 1, {"kind": "table", "entries": [["(0)", "(0,1)", "(1)"], ["(1)", "(1)"]]},
+         r"^table entries must be \[input, output\] pairs$"),
+        ("Fp:2", 1, {"kind": "table", "entries": [["(0)", "(0)"], ["(1)"]]},
+         r"^table entries must be \[input, output\] pairs$"),
+    ],
+    ids=["table-duplicate", "orbit-duplicate", "orbit-not-a-rep", "first-pair-3",
+         "second-pair-1"],
+)
+def test_spec_decoder_checks_right_sized_specs(field, du, body, message):
+    # each spec lists as many entries as the count check asks for
+    spec = {"field": field, "domain_dim": du, "codomain_dim": 1, "map": body}
+    with pytest.raises(SpecFormatError, match=message):
+        map_from_dict(spec)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: TableMap(VectorSpace(Z2, 1), VectorSpace(Z3, 1), {}),
+         DomainMismatch, "share one field"),
+        (lambda: TableMap(VectorSpace(Z2, 1), VectorSpace(Z2, 1), {(0,): (0,)}),
+         SpecFormatError, r"misses domain vector \(1\)"),
+        (lambda: TableMap(VectorSpace(Z2, 1), VectorSpace(Z2, 1),
+                          {(0,): (0,), (1,): (2,)}),
+         SpecFormatError, r"value at \(1\) off-space"),
+        (lambda: OrbitTableMap(VectorSpace(Z2, 1), VectorSpace(Z3, 1), [(1,)]),
+         DomainMismatch, "share one field"),
+        (lambda: OrbitTableMap(VectorSpace(Z2, 2), VectorSpace(Z2, 1), [(1,)]),
+         SpecFormatError, "expected 3 orbit values, got 1"),
+        (lambda: OrbitTableMap(VectorSpace(Z2, 1), VectorSpace(Z2, 1), [(0, 1)]),
+         SpecFormatError, "off-space"),
+        (lambda: KLinearExtensionMap(GF4, [(0, 1)]),
+         SpecFormatError, "expected 2 basis images, got 1"),
+        (lambda: KLinearExtensionMap(GF4, [(0, 1), (0, 2)]),
+         SpecFormatError, r"basis image \(0, 2\) not in"),
+        (lambda: KLinearExtensionMap(Z5, [(1,)]),
+         NotAnExtension, "needs F != k"),
+    ],
+    ids=["table-fields", "table-missing", "table-off-space", "orbit-fields",
+         "orbit-count", "orbit-off-space", "klinear-count", "klinear-off-field",
+         "klinear-prime"],
+)
+def test_map_constructors_refuse_bad_parts(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -270,6 +270,8 @@ def test_record_contract(cls, fields, defaults, frozen):
     last = list(fields)[-1]
     assert cls(**{**fields, last: object()}) != by_keyword
     assert by_keyword != tuple(fields.values())
+    shown = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+    assert repr(by_keyword) == f"{cls.__name__}({shown})"
     with pytest.raises(TypeError):
         cls(*fields.values(), None)
     with pytest.raises(TypeError):
@@ -406,7 +408,7 @@ def test_gf4_contrast_has_additive_nonhomogeneous_tables():
 def test_constraint_lists_match_table_oracles(field, du, dv):
     tables = search._IndexTables(VectorSpace(field, du), VectorSpace(field, dv))
     for dom, cod, table in _all_table_maps(field, du, dv):
-        phi = [tables.cvecs.index(table[v]) for v in tables.dvecs]
+        phi = [tables.cvecs.index(table[v]) for v in dom.vectors()]
         assert tables.is_additive(phi) == _table_is_additive(dom, cod, table)
         assert tables.is_homogeneous(phi) == _table_is_homogeneous(
             field, dom, cod, table
@@ -416,6 +418,14 @@ def test_constraint_lists_match_table_oracles(field, du, dv):
 def test_table_scan_reverifies_its_counterexample(monkeypatch):
     monkeypatch.setattr(search._IndexTables, "is_homogeneous", lambda *a: False)
     with pytest.raises(AssertionError, match="re-verification"):
+        scan_additive_tables(GF4, 1, 1)
+
+
+def test_table_scan_checks_homogeneous_additive_count_against_linear(monkeypatch):
+    # A and H iff linear: a homogeneity test that always holds would publish
+    # GF(4)'s contrast as the prime-field implication
+    monkeypatch.setattr(search._IndexTables, "is_homogeneous", lambda *a: True)
+    with pytest.raises(AssertionError, match="closed form"):
         scan_additive_tables(GF4, 1, 1)
 
 
