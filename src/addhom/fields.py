@@ -99,9 +99,6 @@ class Field:
     def is_finite(self) -> bool:
         return self.order is not None
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
@@ -140,9 +137,6 @@ class Rationals(Field):
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -200,9 +194,6 @@ class PrimeField(Field):
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

@@ -68,10 +68,10 @@ def count_linear(field: Field, du: int, dv: int) -> int:
 
 class _IndexTables:
     """Constraints on a map F^du -> F^dv, phi = its value indices by domain
-    index.  A rank's base-p digits are its Z_p coordinates, and i + e, for a
-    basis rank e = p^k, steps digit k mod p.  By induction on the digits phi
-    is additive iff phi(i + e) = phi(i) + phi(e) for every i and e (i = 0
-    gives phi(0) = 0): sums holds these n*d*du triples (i, e, i + e).  With g
+    index.  The ranks e in SpaceRows.basis are a Z_p-basis of F^du, so by
+    induction on the Z_p coordinates phi is additive iff phi(i + e) = phi(i)
+    + phi(e) for every i and e (i = 0 gives phi(0) = 0): sums holds these
+    n*d*du triples (i, e, i + e), read off the domain's addition rows.  With g
     the primitive element of SpaceRows (1 if q = 2), scales[i] indexes g*v_i,
     and orbit_of names each nonzero g^k*rep by its orbit and the codomain
     action of g^k; phi is homogeneous iff it is the orbit map of its own
@@ -80,16 +80,15 @@ class _IndexTables:
     def __init__(self, domain: VectorSpace, codomain: VectorSpace):
         self.domain, self.codomain = domain, codomain
         self.cvecs = list(codomain.vectors())
-        n, q, p = domain.size, domain.field.order, domain.field.characteristic
-        crows = SpaceRows(codomain)
+        n, q = domain.size, domain.field.order
+        drows, crows = SpaceRows(domain), SpaceRows(codomain)
         self.cadd = [crows.add(i) for i in range(len(self.cvecs))]
         exp = crows.exp  # exp[k] = rank(g^k)
         cpow = [crows.act(s) for s in exp]  # codomain action of g^k
         k = 1 % (q - 1)  # exp[k] is g (k = 0 when q = 2, where g = 1)
-        self.scales = SpaceRows(domain).act(exp[k])
-        basis = [p**k for k in range(crows.digits * domain.dim)]
-        self.sums = [(i, e, i + e if i // e % p != p - 1 else i - (p - 1) * e)
-                     for i in range(n) for e in basis]
+        self.scales = drows.act(exp[k])
+        basis = [(e, drows.add(e)) for e in drows.basis]
+        self.sums = [(i, e, add[i]) for i in range(n) for e, add in basis]
         self.reps = [domain.rank(orb.representative) for orb in domain.orbits()]
         # per nonzero domain vector g^k*rep: (orbit index, codomain action of g^k)
         orbit_of = [None] * n
@@ -134,7 +133,9 @@ def _guarded_tables(field: Field, du: int, dv: int, per_orbit: bool, limit: int)
     q^k, k = dv*N, with N = (q^du - 1)/(q - 1) orbits when per_orbit, else
     N = q^du vectors.  Over limit it refuses before building anything: as
     q^k >= 2^k and N >= 2^(du - 1), a k or du past the bit length of limit
-    is over it.  An exponent past 64 bits is named by its formula."""
+    is over it.  An exponent past 64 bits is named by its formula.  So is a
+    codomain sum table (q^dv rows of q^dv) over limit; k >= 2*dv unless N = 1,
+    so that binds only the orbit search at du = 1."""
     if not field.is_finite:
         raise InfiniteFieldError(f"exhaustive scans need a finite field, not {field}")
     if min(du, dv) < 1:
@@ -145,6 +146,9 @@ def _guarded_tables(field: Field, du: int, dv: int, per_orbit: bool, limit: int)
         n = q**du
         k = dv * ((n - 1) // (q - 1) if per_orbit else n)
         if k <= bits and q**k <= limit:
+            if q ** (2 * dv) > limit:
+                raise SearchSpaceTooLarge(
+                    f"{q}^{2 * dv} codomain sums exceed the limit {limit}")
             return q**k, _IndexTables(VectorSpace(field, du), VectorSpace(field, dv))
     if k is None or k.bit_length() > 64:
         k = f"({dv}*({q}^{du}-1)/{q - 1})" if per_orbit else f"({dv}*{q}^{du})"

@@ -195,11 +195,12 @@ class SpaceRows:
 
     A field rank's base-p digits are its Z_p coefficients, so a field
     addition row is the product of Z_p rows, digit by digit, with no field
-    call.  Multiplication goes through the logarithms of a primitive
+    call, and the vector ranks p^k (basis) are a Z_p-basis of the space.
+    Multiplication goes through the logarithms of a primitive
     element g, the first element by rank of order q - 1: exp[k] = rank(g^k)
     and log[exp[k]] = k (the Zech construction; Lidl and Niederreiter,
     Finite Fields, ch. 9).  Building them costs O(q) field operations, paid
-    on the first field_mul() (or read of exp/log), so addition rows alone
+    on the first field_mul() (or read of exp), so addition rows alone
     cost none.  Field addition rows are kept when dim >= 2, where all q^2
     of their entries fit in one vector row of q^dim; at dim 1 each is
     rebuilt on request.  No other row is kept."""
@@ -217,8 +218,8 @@ class SpaceRows:
         return self._logs()[0]
 
     @property
-    def log(self) -> list:
-        return self._logs()[1]
+    def basis(self) -> list:
+        return [self.p**k for k in range(self.digits * self.dim)]
 
     def _logs(self):
         """(exp, log), built on the first call."""

@@ -201,6 +201,11 @@ def test_usage_errors(capsys, tmp_path):
                        "--property", "additive")
     assert code == 2
 
+    out_path = tmp_path / "x.json"
+    code, out, err = run(capsys, "counterexample", "theorem1", "--out", str(out_path))
+    assert (code, out, err) == (2, "", "error: counterexample theorem1 needs --field\n")
+    assert not out_path.exists()
+
 
 def test_negative_samples_exits_2(tmp_path, capsys):
     spec = tmp_path / "ratio.json"
@@ -214,6 +219,14 @@ def test_negative_samples_exits_2(tmp_path, capsys):
     assert out == ""
     assert [line for line in err.splitlines() if "error:" in line] == [
         "addhom check: error: argument --samples: must be >= 0, not -5"
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(check + ["abc"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "addhom check: error: argument --samples: invalid int value: 'abc'"
     ]
     # zero draws is a request that can be met: the corner pairs alone
     code, out, _ = run(capsys, *check, "0")
@@ -232,10 +245,12 @@ def test_negative_samples_exits_2(tmp_path, capsys):
         ["field", "find-irreducible", "--p", "2", "--degree", "100000000"],
         ["search", "--field", "Fq:2:" + ",".join(["1"] + ["0"] * 299 + ["1"]),
          "--domain-dim", "1", "--codomain-dim", "1"],
+        # 2^14 candidates, but 2^28 codomain sums
+        ["search", "--field", "Fp:2", "--domain-dim", "1", "--codomain-dim", "14"],
     ],
     ids=["search-Z3-20-1", "search-Z2-14-1",
          "search-Z2-huge-1", "verify-Z2-12-1", "find-irreducible-Z2-huge",
-         "search-Fq-degree-300"],
+         "search-Fq-degree-300", "search-Z2-1-14"],
 )
 def test_guard_refuses_at_once_with_one_line(capsys, argv):
     start = time.perf_counter()
@@ -315,8 +330,23 @@ def _table_spec(body):
                      "entries": [["(0)", "(0)"], ["(1)", "(1)"], ["(1)", "(0)"]]}),
         json.dumps({"field": "Fp:2", "domain_dim": 2.7, "codomain_dim": 1,
                     "map": {"kind": "indicator"}}).encode(),
+        json.dumps({"field": "Fp:5", "domain_dim": 1, "codomain_dim": 1,
+                    "map": {"kind": "klinear_extension"}}).encode(),
+        json.dumps({"field": "Fq:2:1,1,1", "domain_dim": 2, "codomain_dim": 1,
+                    "map": {"kind": "klinear_extension"}}).encode(),
+        json.dumps({"field": "Fp:5", "domain_dim": 1, "codomain_dim": 1,
+                    "map": {"kind": "table", "entries": [
+                        ["(0)", "(7)"], ["(1)", "(1)"], ["(2)", "(2)"],
+                        ["(3)", "(3)"], ["(4)", "(4)"]]}}).encode(),
+        json.dumps({"field": "Fq:2:1,1,1", "domain_dim": 1, "codomain_dim": 1,
+                    "map": {"kind": "orbit_table",
+                            "values": [["([1,0])", "([1])"]]}}).encode(),
+        json.dumps({"field": "Fq:x:1,1,1", "domain_dim": 2, "codomain_dim": 1,
+                    "map": {"kind": "indicator"}}).encode(),
     ],
-    ids=["no-entries", "int-value", "not-utf8", "duplicate-input", "float-dim"],
+    ids=["no-entries", "int-value", "not-utf8", "duplicate-input", "float-dim",
+         "klinear-prime-field", "klinear-dims", "residue-range",
+         "coefficient-count", "descriptor-prime"],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, content):
     spec = tmp_path / "bad.json"

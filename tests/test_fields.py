@@ -87,7 +87,7 @@ def poly_divmod(base, a, b):
         factor = base.mul(rem[-1], lead_inv)
         quot[shift] = factor
         for i, c in enumerate(b):
-            rem[shift + i] = base.sub(rem[shift + i], base.mul(factor, c))
+            rem[shift + i] = base.add(rem[shift + i], base.neg(base.mul(factor, c)))
         while rem and rem[-1] == base.zero:
             rem.pop()
     return poly_trim(base, quot), poly_trim(base, rem)
@@ -726,7 +726,7 @@ def test_rank_rows_match_field_operations(field):
     rows = SpaceRows(VectorSpace(field, 1))
     q, elems = field.order, list(field.elements())
     assert sorted(rows.exp) == list(range(1, q))
-    assert all(rows.log[r] == k for k, r in enumerate(rows.exp))
+    assert all(rows._logs()[1][r] == k for k, r in enumerate(rows.exp))
     # the primitive element: its first power back at 1 is the (q-1)-th
     g = x = elems[rows.exp[1 % (q - 1)]]
     order = 1

@@ -29,6 +29,7 @@ from addhom.maps import (
     check_additive,
     check_homogeneous,
     check_linear,
+    map_from_dict,
     map_to_dict,
 )
 from addhom.search import (
@@ -398,6 +399,12 @@ def test_gf4_contrast_has_additive_nonhomogeneous_tables():
     assert check_additive(m, EXHAUSTIVE).holds
     assert not check_homogeneous(m, EXHAUSTIVE).holds
     assert check_linear(m, EXHAUSTIVE).witness.kind == "homogeneity"
+    d = report.to_dict()
+    assert (d["additive_nonhomogeneous"], d["expected_additive"]) == ("12", "4")
+    assert d["additivity_implies_homogeneity"] is False
+    decoded = map_from_dict(d["counterexample"])
+    assert check_additive(decoded, EXHAUSTIVE).holds
+    assert not check_homogeneous(decoded, EXHAUSTIVE).holds
 
 
 @pytest.mark.parametrize(
@@ -483,6 +490,14 @@ def test_guard_limit_is_inclusive():
     assert scan_additive_tables(Z2, 2, 1, max_candidates=16).tables_total == 16
     with pytest.raises(SearchSpaceTooLarge, match=r"^2\^4 tables"):
         scan_additive_tables(Z2, 2, 1, max_candidates=15)
+    # at du = 1 the q^(2*dv) codomain sum table binds before the q^dv candidates
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=r"^2\^12 codomain sums exceed the limit 1024$"):
+        search_homogeneous_nonadditive(SearchConfig(Z2, 1, 6, max_candidates=1024))
+    result = search_homogeneous_nonadditive(
+        SearchConfig(Z2, 1, 6, mode="count_only", max_candidates=4096)
+    )
+    assert result.homogeneous_count == 64
 
 
 # pruned raw table scan ---------------------------------------------------------------
