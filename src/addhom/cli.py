@@ -4,7 +4,8 @@ Exit codes:
   0  the requested property holds / the requested object was produced
   1  the property is violated (a witness is on stdout) or no witness exists
   2  usage or input-format error
-  3  resource guard tripped (search space or exhaustive check too large)
+  3  resource guard tripped (search space or exhaustive check too large,
+     or a result too long to print)
   141  stdout was closed before the output was written (128 + SIGPIPE);
        nothing is printed on stderr
 
@@ -157,13 +158,12 @@ def _cmd_trace(args) -> int:
                 ],
             }
         )
-    else:
-        for ident in identities:
-            mark = "==" if ident.equal else "!="
-            print(
-                f"{ident.label}: {m.codomain.encode(ident.lhs)} {mark} "
-                f"{m.codomain.encode(ident.rhs)}"
-            )
+    else:  # every line is encoded before any is printed
+        print("\n".join(
+            f"{ident.label}: {m.codomain.encode(ident.lhs)} "
+            f"{'==' if ident.equal else '!='} {m.codomain.encode(ident.rhs)}"
+            for ident in identities
+        ))
     return EXIT_OK if all(i.equal for i in identities) else EXIT_VIOLATED
 
 

@@ -128,7 +128,8 @@ class InfiniteDomainExhaustive(AddhomError):
 # search
 
 class SearchSpaceTooLarge(AddhomError):
-    """Candidate count exceeds the configured guard; refusing to truncate."""
+    """A resource guard tripped: a candidate count or a work bound past its
+    limit, or a result too long to print; refusing to truncate."""
 
 
 class NotPrimeField(AddhomError):

@@ -30,6 +30,7 @@ tables.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -125,6 +126,9 @@ class Field:
         return self.descriptor()
 
 
+_RATIONAL = r"(-?[0-9]+)(?:/([0-9]+))?"  # compiled on the first decode
+
+
 class Rationals(Field):
     """The field Q; elements are fractions.Fraction."""
 
@@ -166,12 +170,21 @@ class Rationals(Field):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     def encode(self, a) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError as exc:  # a term past Python's int-to-text digit limit
+            raise SearchSpaceTooLarge(
+                "a rational result is too long to print (over Python's digit limit)"
+            ) from exc
 
     def decode(self, text: str):
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+        """An integer or n/d with d > 0, the forms encode writes, read by
+        int() so that Python's digit limit applies: Fraction's own parser
+        takes exponents, and expanding 1e10000000 takes seconds."""
+        match = re.fullmatch(_RATIONAL, text.strip())
+        try:  # no match: TypeError; over the digit limit: ValueError
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise SpecFormatError(f"bad rational {text!r}") from exc
 
     def descriptor(self) -> str:

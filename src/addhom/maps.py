@@ -3,7 +3,8 @@
 Five map representations cover everything we need:
 
   * TableMap             -- explicit value for every domain vector
-  * OrbitTableMap        -- one value per scalar orbit; homogeneous by
+  * OrbitTableMap        -- one value per scalar orbit, keyed by the orbit's
+                            canonical representative; homogeneous by
                             construction, with phi(0) = 0 forced
   * KLinearExtensionMap  -- the prime-subfield-linear map on an extension
                             field F determined by images of the power basis
@@ -54,7 +55,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .fields import ExtensionField, Field, PrimeField, Rationals, numerators, parse_field
-from .spaces import SpaceRows, VectorSpace, split_top_level
+from .spaces import SpaceRows, VectorSpace
 
 
 class Witness(FrozenRecord):
@@ -123,31 +124,31 @@ class TableMap(VectorMap):
 
 
 class OrbitTableMap(VectorMap):
-    """One codomain value per domain orbit; phi(scale*rep) = scale*value."""
+    """One codomain value per domain orbit, values[rep] for the orbit's
+    canonical representative; phi(scale*rep) = scale*values[rep].  The
+    (q^du - 1)/(q - 1) keys, each a representative, cover every orbit once."""
 
-    def __init__(self, domain: VectorSpace, codomain: VectorSpace, values):
+    def __init__(self, domain: VectorSpace, codomain: VectorSpace, values: dict):
         if domain.field != codomain.field:
             raise DomainMismatch("domain and codomain must share one field")
         self.domain = domain
         self.codomain = codomain
-        self.orbits = domain.orbits()
-        values = tuple(values)
-        if len(values) != len(self.orbits):
-            raise SpecFormatError(
-                f"expected {len(self.orbits)} orbit values, got {len(values)}"
-            )
-        for val in values:
+        self.values = values = dict(values)
+        n = (domain.size - 1) // (domain.field.order - 1)
+        if len(values) != n:
+            raise SpecFormatError(f"expected {n} orbit values, got {len(values)}")
+        for rep, val in values.items():
+            if not (domain.contains(rep) and domain.is_representative(rep)):
+                raise SpecFormatError("orbit table must cover every orbit exactly once")
             if not codomain.contains(val):
                 raise SpecFormatError(f"orbit value {val!r} off-space")
-        self.values = values
-        self._index = {o.representative: o.index for o in self.orbits}
 
     def evaluate(self, v):
         self._check_domain(v)
         if v == self.domain.zero:
             return self.codomain.zero
         rep, scale = self.domain.canonical_rep(v)
-        return self.codomain.scalar_mul(scale, self.values[self._index[rep]])
+        return self.codomain.scalar_mul(scale, self.values[rep])
 
 
 class KLinearExtensionMap(VectorMap):
@@ -578,8 +579,8 @@ def map_to_dict(m: VectorMap) -> dict:
         out["map"] = {"kind": "table", "entries": entries}
     elif isinstance(m, OrbitTableMap):
         values = [
-            [m.domain.encode(o.representative), m.codomain.encode(m.values[o.index])]
-            for o in m.orbits
+            [m.domain.encode(rep), m.codomain.encode(m.values[rep])]
+            for rep in m.domain.orbits()
         ]
         out["map"] = {"kind": "orbit_table", "values": values}
     elif isinstance(m, KLinearExtensionMap):
@@ -607,8 +608,6 @@ def map_from_dict(d: dict) -> VectorMap:
 
 
 def _decode_map(d: dict) -> VectorMap:
-    """Every check that needs no space runs before one is built: a
-    VectorSpace holds a zero vector of its dimension, which is untrusted."""
     field = parse_field(d["field"])
     du, dv = d["domain_dim"], d["codomain_dim"]
     for key, dim in (("domain_dim", du), ("codomain_dim", dv)):
@@ -651,25 +650,13 @@ def _decode_map(d: dict) -> VectorMap:
             raise SpecFormatError(f"table must list all {q}^{du} domain vectors")
     elif du - 1 > n.bit_length() or (q**du - 1) // (q - 1) != n:
         raise SpecFormatError("orbit table must cover every orbit exactly once")
-    if len(pairs[0]) != 2:
-        raise SpecFormatError(shape)
-    value = pairs[0][1].strip()
-    if value[:1] == "(" and value[-1:] == ")":
-        k = len(split_top_level(value[1:-1]))
-        if k != dv:
-            raise SpecFormatError(
-                f"the first value has dimension {k}, not codomain_dim {dv}"
-            )
     domain = VectorSpace(field, du)
     codomain = VectorSpace(field, dv)
     if kind == "table":
         entries = _decode_pairs(domain, codomain, pairs, shape, "table input")
         return TableMap(domain, codomain, entries)
     by_rep = _decode_pairs(domain, codomain, pairs, shape, "orbit representative")
-    orbits = domain.orbits()
-    if any(o.representative not in by_rep for o in orbits):
-        raise SpecFormatError("orbit table must cover every orbit exactly once")
-    return OrbitTableMap(domain, codomain, [by_rep[o.representative] for o in orbits])
+    return OrbitTableMap(domain, codomain, by_rep)
 
 
 def _decode_pairs(domain, codomain, pairs, shape: str, name: str) -> dict:
@@ -693,7 +680,7 @@ def map_to_json(m: VectorMap) -> str:
 def map_from_json(text: str) -> VectorMap:
     try:
         d = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SpecFormatError(f"bad JSON: {exc}") from exc
     return map_from_dict(d)
 

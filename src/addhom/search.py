@@ -75,7 +75,7 @@ class _IndexTables:
     the primitive element of SpaceRows (1 if q = 2), scales[i] indexes g*v_i,
     and orbit_of names each nonzero g^k*rep by its orbit and the codomain
     action of g^k; phi is homogeneous iff it is the orbit map of its own
-    values at the representatives."""
+    values at the representatives (reps by rank, rep_vectors as vectors)."""
 
     def __init__(self, domain: VectorSpace, codomain: VectorSpace):
         self.domain, self.codomain = domain, codomain
@@ -89,7 +89,8 @@ class _IndexTables:
         self.scales = drows.act(exp[k])
         basis = [(e, drows.add(e)) for e in drows.basis]
         self.sums = [(i, e, add[i]) for i in range(n) for e, add in basis]
-        self.reps = [domain.rank(orb.representative) for orb in domain.orbits()]
+        self.rep_vectors = domain.orbits()
+        self.reps = [domain.rank(v) for v in self.rep_vectors]
         # per nonzero domain vector g^k*rep: (orbit index, codomain action of g^k)
         orbit_of = [None] * n
         for o, i in enumerate(self.reps):
@@ -123,9 +124,9 @@ class _IndexTables:
 
     def orbit_map(self, phi) -> OrbitTableMap:
         """The orbit map of phi: phi at each representative, where g^0 = 1 acts."""
-        return OrbitTableMap(
-            self.domain, self.codomain, [self.cvecs[phi[i]] for i in self.reps]
-        )
+        cvecs = self.cvecs
+        values = {v: cvecs[phi[i]] for v, i in zip(self.rep_vectors, self.reps)}
+        return OrbitTableMap(self.domain, self.codomain, values)
 
 
 def _guarded_tables(field: Field, du: int, dv: int, per_orbit: bool, limit: int):

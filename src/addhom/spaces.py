@@ -2,10 +2,11 @@
 
 Vectors are plain tuples of field elements.  Finite spaces enumerate in
 lexicographic coordinate-rank order with coordinate 0 slowest.  Nonzero
-vectors fall into scalar orbits {lam * v : lam != 0}; each orbit has a
-unique canonical representative whose first nonzero coordinate is 1, which
-is what makes orbit-table maps well-defined.  SpaceRows gives a finite
-space's addition and scalar action on vector ranks, and its field's
+vectors fall into scalar orbits {lam * v : lam != 0} of q - 1 members each;
+each orbit has a unique canonical representative whose first nonzero
+coordinate is 1, which is what makes orbit-table maps, keyed by those
+representatives, well-defined; orbits() lists them.  SpaceRows gives a
+finite space's addition and scalar action on vector ranks, and its field's
 addition and multiplication on element ranks, for the exhaustive checkers
 and the search's index tables.
 """
@@ -13,22 +14,16 @@ and the search's index tables.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
-    FrozenRecord,
     InfiniteFieldError,
     SpecFormatError,
     ZeroVector,
 )
 from .fields import Field
-
-
-class Orbit(FrozenRecord):
-    representative: tuple
-    size: int
-    index: int
 
 
 def split_top_level(text: str, sep: str = ",") -> list[str]:
@@ -56,7 +51,10 @@ class VectorSpace:
             raise DimensionMismatch("dimension must be >= 1")
         self.field = field
         self.dim = dim
-        self.zero = (field.zero,) * dim
+
+    @cached_property
+    def zero(self):  # on first use: a spec's dimension is untrusted until then
+        return (self.field.zero,) * self.dim
 
     @property
     def is_finite(self) -> bool:
@@ -132,19 +130,17 @@ class VectorSpace:
                 return tuple(self.field.mul(a, inv) for a in v), c
         raise ZeroVector("the zero vector has no orbit representative")
 
-    def orbits(self) -> list[Orbit]:
-        """One orbit per canonical representative, in vector-enumeration order."""
+    def is_representative(self, v) -> bool:
+        """Whether v's first nonzero coordinate is 1 (false for zero)."""
+        zero = self.field.zero
+        return next((c for c in v if c != zero), None) == self.field.one
+
+    def orbits(self) -> list:
+        """The canonical representative of every orbit, in vector-enumeration
+        order."""
         if not self.is_finite:
             raise InfiniteFieldError(f"{self} has infinitely many orbits")
-        size = self.field.order - 1
-        out = []
-        for v in self.vectors():
-            first_nonzero = next(
-                (c for c in v if c != self.field.zero), None
-            )
-            if first_nonzero == self.field.one:
-                out.append(Orbit(v, size, len(out)))
-        return out
+        return [v for v in self.vectors() if self.is_representative(v)]
 
     # text encoding: "(e0,e1,...)" ---------------------------------------
 

@@ -226,10 +226,9 @@ def test_criterion_7_algebra_substrate():
             assert len(orbits) == (q**dim - 1) // (q - 1)
             nonzero = [s for s in field.elements() if s != field.zero]
             seen = set()
-            for orbit in orbits:
-                members = {space.scalar_mul(s, orbit.representative)
-                           for s in nonzero}
-                assert len(members) == orbit.size == q - 1
+            for rep in orbits:
+                members = {space.scalar_mul(s, rep) for s in nonzero}
+                assert len(members) == q - 1
                 assert not members & seen
                 seen |= members
             assert seen | {space.zero} == set(space.vectors())

@@ -343,10 +343,13 @@ def _table_spec(body):
                             "values": [["([1,0])", "([1])"]]}}).encode(),
         json.dumps({"field": "Fq:x:1,1,1", "domain_dim": 2, "codomain_dim": 1,
                     "map": {"kind": "indicator"}}).encode(),
+        # a JSON integer past Python's 4,300-digit limit for reading integers
+        b'{"field": "Fp:2", "domain_dim": ' + b"1" * 5000
+        + b', "codomain_dim": 1, "map": {"kind": "ratio"}}',
     ],
     ids=["no-entries", "int-value", "not-utf8", "duplicate-input", "float-dim",
          "klinear-prime-field", "klinear-dims", "residue-range",
-         "coefficient-count", "descriptor-prime"],
+         "coefficient-count", "descriptor-prime", "json-int-digits"],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, content):
     spec = tmp_path / "bad.json"
@@ -411,3 +414,40 @@ def test_huge_spec_dimension_refused_before_building_spaces(
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert len(lines[0]) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--input", "ratio_q.json", "--m", "1", "--n", "2",
+         "--x", "(1e5000,1)"],
+        ["counterexample", "ratio", "--field", "Qext:-3e5000,0,1", "--out", "r.json"],
+        ["trace", "--input", "ratio_q.json", "--m", "1", "--n", "2",
+         "--x", "(1e10000000,1)"],
+    ],
+    ids=["trace-x", "qext-modulus", "trace-x-1e10000000"],
+)
+def test_rational_with_exponent_exits_2_at_once(tmp_path, capsys, monkeypatch, argv):
+    # rationals are read as encode writes them, integers or n/d, never 1e5000
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "counterexample", "ratio", "--out", "ratio_q.json")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad rational")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_result_too_long_to_print_exits_3(tmp_path, capsys, fmt):
+    # xy/(x+y) of two 3,000-digit integers has a numerator past 4,300 digits
+    spec = tmp_path / "ratio_q.json"
+    run(capsys, "counterexample", "ratio", "--out", str(spec))
+    x = f"({'7' * 3000},{'3' * 2999}1)"
+    code, out, err = run(capsys, "trace", "--input", str(spec), "--m", "1",
+                         "--n", "2", "--x", x, "--format", fmt)
+    assert (code, out) == (3, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

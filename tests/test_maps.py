@@ -436,7 +436,7 @@ def _random_map(rng, field, du, dv, kind):
     dom, cod = VectorSpace(field, du), VectorSpace(field, dv)
     elems, cvecs = list(field.elements()), list(cod.vectors())
     if kind == "orbit":
-        return OrbitTableMap(dom, cod, [rng.choice(cvecs) for _ in dom.orbits()])
+        return OrbitTableMap(dom, cod, {r: rng.choice(cvecs) for r in dom.orbits()})
     if kind == "random":
         return TableMap(dom, cod, {v: rng.choice(cvecs) for v in dom.vectors()})
     mat = [[rng.choice(elems) for _ in range(du)] for _ in range(dv)]
@@ -574,9 +574,9 @@ def test_every_orbit_table_map_is_homogeneous(field, du, dv):
     dom = VectorSpace(field, du)
     cod = VectorSpace(field, dv)
     cvecs = list(cod.vectors())
-    n_orbits = len(dom.orbits())
-    for values in itertools.product(cvecs, repeat=n_orbits):
-        m = OrbitTableMap(dom, cod, values)
+    reps = dom.orbits()
+    for values in itertools.product(cvecs, repeat=len(reps)):
+        m = OrbitTableMap(dom, cod, dict(zip(reps, values)))
         assert zero_fixed(m)
         assert check_homogeneous(m, EXHAUSTIVE).verdict == "holds_exhaustive"
 
@@ -655,7 +655,8 @@ def test_map_json_roundtrip(build):
 def test_table_and_orbit_table_roundtrip():
     dom = VectorSpace(Z3, 2)
     cod = VectorSpace(Z3, 1)
-    orbit_map = OrbitTableMap(dom, cod, [(1,), (2,), (0,), (1,)])
+    orbit_map = OrbitTableMap(dom, cod, {(0, 1): (1,), (1, 0): (2,), (1, 1): (0,),
+                                         (1, 2): (1,)})
     m2 = map_from_json(map_to_json(orbit_map))
     for v in dom.vectors():
         assert m2.evaluate(v) == orbit_map.evaluate(v)
@@ -766,12 +767,14 @@ def test_spec_decoder_checks_right_sized_specs(field, du, body, message):
         (lambda: TableMap(VectorSpace(Z2, 1), VectorSpace(Z2, 1),
                           {(0,): (0,), (1,): (2,)}),
          SpecFormatError, r"value at \(1\) off-space"),
-        (lambda: OrbitTableMap(VectorSpace(Z2, 1), VectorSpace(Z3, 1), [(1,)]),
+        (lambda: OrbitTableMap(VectorSpace(Z2, 1), VectorSpace(Z3, 1), {(1,): (1,)}),
          DomainMismatch, "share one field"),
-        (lambda: OrbitTableMap(VectorSpace(Z2, 2), VectorSpace(Z2, 1), [(1,)]),
+        (lambda: OrbitTableMap(VectorSpace(Z2, 2), VectorSpace(Z2, 1), {(1, 0): (1,)}),
          SpecFormatError, "expected 3 orbit values, got 1"),
-        (lambda: OrbitTableMap(VectorSpace(Z2, 1), VectorSpace(Z2, 1), [(0, 1)]),
+        (lambda: OrbitTableMap(VectorSpace(Z2, 1), VectorSpace(Z2, 1), {(1,): (0, 1)}),
          SpecFormatError, "off-space"),
+        (lambda: OrbitTableMap(VectorSpace(Z3, 1), VectorSpace(Z3, 1), {(2,): (1,)}),
+         SpecFormatError, "cover every orbit exactly once"),
         (lambda: KLinearExtensionMap(GF4, [(0, 1)]),
          SpecFormatError, "expected 2 basis images, got 1"),
         (lambda: KLinearExtensionMap(GF4, [(0, 1), (0, 2)]),
@@ -780,8 +783,8 @@ def test_spec_decoder_checks_right_sized_specs(field, du, body, message):
          NotAnExtension, "needs F != k"),
     ],
     ids=["table-fields", "table-missing", "table-off-space", "orbit-fields",
-         "orbit-count", "orbit-off-space", "klinear-count", "klinear-off-field",
-         "klinear-prime"],
+         "orbit-count", "orbit-off-space", "orbit-not-a-rep", "klinear-count",
+         "klinear-off-field", "klinear-prime"],
 )
 def test_map_constructors_refuse_bad_parts(build, error, message):
     with pytest.raises(error, match=message):

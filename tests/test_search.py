@@ -42,7 +42,7 @@ from addhom.search import (
     search_homogeneous_nonadditive,
     verify_theorem1_prime,
 )
-from addhom.spaces import Orbit, VectorSpace
+from addhom.spaces import VectorSpace
 
 Z2 = PrimeField(2)
 Z3 = PrimeField(3)
@@ -242,7 +242,6 @@ RECORDS = [  # class, every field in order, defaults of the trailing ones, froze
     (CheckReport, {"property": "additive", "verdict": "violated", "witness": None,
                    "pairs_checked": 4}, {}, False),
     (TraceIdentity, {"label": "step", "lhs": (1,), "rhs": (2,)}, {}, True),
-    (Orbit, {"representative": (0, 1), "size": 2, "index": 0}, {}, True),
     (SearchConfig, {"field": Z3, "domain_dim": 2, "codomain_dim": 1,
                     "mode": "count_only", "max_candidates": 9, "jobs": 2},
      {"mode": "first_witness", "max_candidates": DEFAULT_MAX_CANDIDATES, "jobs": 1},
@@ -312,10 +311,10 @@ def _orbit_bruteforce_nonadditive(field, du, dv):
     the exhaustive map-level additivity checker."""
     dom = VectorSpace(field, du)
     cod = VectorSpace(field, dv)
-    n_orbits = len(dom.orbits())
+    reps = dom.orbits()
     maps = (
-        OrbitTableMap(dom, cod, values)
-        for values in itertools.product(list(cod.vectors()), repeat=n_orbits)
+        OrbitTableMap(dom, cod, dict(zip(reps, values)))
+        for values in itertools.product(list(cod.vectors()), repeat=len(reps))
     )
     return [m for m in maps if not check_additive(m, EXHAUSTIVE).holds]
 
@@ -453,6 +452,73 @@ def test_scans_check_their_count_against_the_closed_form(monkeypatch, scan):
     monkeypatch.setattr(search._IndexTables, "__init__", forgetful_init)
     with pytest.raises(AssertionError, match="closed form"):
         scan()
+
+
+def _linear_index_tables(monkeypatch, field, du, dv, fault=None):
+    """(orbit search result, table scan report, the index tables the search
+    counts as additive, those the scan finds additive and homogeneous): the
+    tables as sets of tuples of codomain ranks, recorded as each engine's
+    own tests pass them.  fault replaces is_additive in the search only."""
+    cls = search._IndexTables
+    is_additive, is_homogeneous = cls.is_additive, cls.is_homogeneous
+    reached = [set(), set()]
+
+    def recording(test, into):
+        def recorded(self, phi):
+            if test(self, phi):
+                into.add(tuple(phi))
+                return True
+            return False
+        return recorded
+
+    monkeypatch.setattr(cls, "is_additive", recording(fault or is_additive, reached[0]))
+    result = search_homogeneous_nonadditive(SearchConfig(field, du, dv))
+    monkeypatch.setattr(cls, "is_additive", is_additive)
+    monkeypatch.setattr(cls, "is_homogeneous", recording(is_homogeneous, reached[1]))
+    # a limit that admits every table; the scan walks only the additive ones
+    tables_total = field.order ** (dv * field.order**du)
+    report = scan_additive_tables(field, du, dv, max_candidates=tables_total)
+    return result, report, *reached
+
+
+CROSS_ENGINE = [(GF4, 2, 1, 16), (GF4, 1, 2, 16), (Z3, 2, 1, 9), (Z2, 3, 1, 8),
+                (Z5, 2, 1, 25)]
+
+
+@pytest.mark.parametrize("field,du,dv,linear", CROSS_ENGINE,
+                         ids=["GF4-2-1", "GF4-1-2", "Z3-2-1", "Z2-3-1", "Z5-2-1"])
+def test_both_engines_reach_the_same_linear_maps(monkeypatch, field, du, dv, linear):
+    # the closed forms check counts only; A and H iff linear fixes the maps
+    _, _, by_search, by_scan = _linear_index_tables(monkeypatch, field, du, dv)
+    assert len(by_search) == linear == count_linear(field, du, dv)
+    assert by_search == by_scan
+
+
+def test_only_the_cross_engine_check_catches_a_swapped_linear_map(monkeypatch):
+    # the search takes its last linear map for non-additive and its last
+    # non-additive one for additive: every count and the first witness stay
+    field, du, dv = Z3, 2, 1
+    tables = search._IndexTables(VectorSpace(field, du), VectorSpace(field, dv))
+    walked = [tuple(phi) for phi in
+              tables.walk(len(tables.reps), tables.phi_from_assignment)]
+    additive = [phi for phi in walked if tables.is_additive(phi)]
+    nonadditive = [phi for phi in walked if phi not in additive]
+    linear, swapped = additive[-1], nonadditive[-1]
+    assert walked.index(linear) > walked.index(nonadditive[0])
+    is_additive = search._IndexTables.is_additive
+
+    def faulty(self, phi):
+        return tuple(phi) == swapped or (tuple(phi) != linear and is_additive(self, phi))
+
+    clean = search_homogeneous_nonadditive(SearchConfig(field, du, dv))
+    # every closed form and re-verification passes under the fault ...
+    result, report, by_search, by_scan = _linear_index_tables(
+        monkeypatch, field, du, dv, fault=faulty)
+    assert result.to_dict() == clean.to_dict()
+    assert report.additive_count - report.additive_nonhomogeneous_count == 9
+    assert len(by_search) == len(by_scan) == 9
+    # ... and only the set comparison sees the swap
+    assert by_search ^ by_scan == {linear, swapped}
 
 
 def test_index_tables_hold_basis_constraints_only():

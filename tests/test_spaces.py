@@ -152,9 +152,7 @@ def test_canonical_rep_matches_per_coordinate_division():
 # orbits -----------------------------------------------------------------------
 
 def test_orbits_z2_dim2():
-    orbits = VectorSpace(Z2, 2).orbits()
-    assert [o.representative for o in orbits] == [(0, 1), (1, 0), (1, 1)]
-    assert all(o.size == 1 for o in orbits)
+    assert VectorSpace(Z2, 2).orbits() == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_orbits_gf4_dim2_count():
@@ -165,7 +163,7 @@ def test_orbits_gf4_dim2_count():
 def test_dim1_single_orbit(field):
     orbits = VectorSpace(field, 1).orbits()
     assert len(orbits) == 1
-    assert orbits[0].representative == (field.one,)
+    assert orbits[0] == (field.one,)
 
 
 ORBIT_SPACES = [
@@ -184,12 +182,12 @@ def test_orbit_partition_invariants(field, dim):
     nonzero_scalars = [s for s in field.elements() if s != field.zero]
     seen = set()
     total = 0
-    for orbit in orbits:
-        members = {space.scalar_mul(s, orbit.representative) for s in nonzero_scalars}
-        assert len(members) == orbit.size == q - 1
+    for rep in orbits:
+        members = {space.scalar_mul(s, rep) for s in nonzero_scalars}
+        assert len(members) == q - 1
         assert not members & seen, "orbits must be pairwise disjoint"
         seen |= members
-        total += orbit.size
+        total += len(members)
     assert total == q**dim - 1
     assert seen | {space.zero} == set(space.vectors())
 
