@@ -129,6 +129,18 @@ class Field:
 _RATIONAL = r"(-?[0-9]+)(?:/([0-9]+))?"  # compiled on the first decode
 
 
+def _integer(text: str) -> int:
+    """text, stripped, as an int when it matches -?[0-9]+ in ASCII, the
+    form encode writes; int() alone also takes 1_0, +3 and non-ASCII
+    digits.  Anything else, or more digits than Python's limit, raises
+    ValueError.  (No regex: a residue is decoded per table entry.)"""
+    text = text.strip()
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 class Rationals(Field):
     """The field Q; elements are fractions.Fraction."""
 
@@ -243,7 +255,7 @@ class PrimeField(Field):
 
     def decode(self, text: str):
         try:
-            v = int(text.strip())
+            v = _integer(text)
         except ValueError as exc:
             raise SpecFormatError(f"bad residue {text!r}") from exc
         if not 0 <= v < self.p:
@@ -679,7 +691,7 @@ def parse_field(text: str) -> Field:
         return Rationals()
     if text.startswith("Fp:"):
         try:
-            p = int(text[3:])
+            p = _integer(text[3:])
         except ValueError as exc:
             raise SpecFormatError(f"bad field descriptor {text!r}") from exc
         return PrimeField(p)
@@ -688,7 +700,7 @@ def parse_field(text: str) -> Field:
         if len(parts) != 3:
             raise SpecFormatError(f"bad field descriptor {text!r}")
         try:
-            p = int(parts[1])
+            p = _integer(parts[1])
         except ValueError as exc:
             raise SpecFormatError(f"bad field descriptor {text!r}") from exc
         base = PrimeField(p)

@@ -27,17 +27,25 @@ basis pairs, sign flips, coordinate-sum-zero probes) and only then the
 pseudo-random draws; corners are what pin the published witnesses on
 infinite fields.
 
-Within one checker call each distinct input is evaluated at most once (a
-rank table or a dict local to the call; nothing outlives it), so a map
-must be a function of its input alone.
+An exhaustive check evaluates each input at most once per map, not per
+call: the rank table belongs to the map (built by the first exhaustive
+check of any property, then read by every later one), while a sampled
+check evaluates each distinct input at most once per call, through a dict
+local to that call.  So a map must be a function of its input alone and
+must not be mutated after its validated construction; a later check reads
+the values the first one tabulated.  The table kept is the one the first
+exhaustive check built: at most q^du * dv ranks, never more than that call
+allocated anyway.  It is not thread-safe: check one map from one thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DEFAULT_MAX_CANDIDATES,
@@ -97,6 +105,12 @@ class VectorMap:
 
     def evaluate(self, v):
         raise NotImplementedError
+
+    @cached_property
+    def _rank_table(self) -> _RankTable:
+        """The table every exhaustive check of this map reads, built empty
+        on the first one and filled as the checks need it."""
+        return _RankTable(self.domain, self.codomain)
 
     def _check_domain(self, v):
         if not self.domain.contains(v):
@@ -330,27 +344,31 @@ def _homogeneity_pairs(m: VectorMap, strategy: Sampled):
 
 
 class _RankTable:
-    """phi over a finite domain for one exhaustive check call, by rank:
+    """phi over a finite domain by rank, one per map (VectorMap._rank_table):
     cols[c][r] is the rank of coordinate c of phi(v_r), v_r the domain
-    vector of rank r.  Inputs are evaluated in rank order, each once, and
-    each value is checked against the codomain on its first evaluation."""
+    vector of rank r.  Inputs are evaluated in rank order, which is
+    domain.vectors() order, each once per map, and each value is checked
+    against the codomain on its first evaluation.  A row is appended whole
+    or not at all, and each extension re-slices domain.vectors() from the
+    first missing rank, so after an evaluate that raised the next check
+    resumes at the input that raised.  The table holds the spaces, not the
+    map: there is no cycle, and it is freed with the map.  Not thread-safe."""
 
-    def __init__(self, m: VectorMap):
-        self.m = m
-        self.rows = SpaceRows(m.domain)
-        self.size = m.domain.size
-        self.cols = [[] for _ in range(m.codomain.dim)]
+    def __init__(self, domain: VectorSpace, codomain: VectorSpace):
+        self.domain, self.codomain = domain, codomain
+        self.rows = SpaceRows(domain)
+        self.size = domain.size
+        self.cols = [[] for _ in range(codomain.dim)]
 
-    def _extend(self, n: int):
-        dom, cod, evaluate = self.m.domain, self.m.codomain, self.m.evaluate
-        for r in range(len(self.cols[0]), n):
-            ranks = cod.coordinate_ranks(evaluate(dom.vector_from_rank(r)))
-            for col, c in zip(self.cols, ranks):
+    def _extend(self, evaluate, n: int):
+        cols, ranks = self.cols, self.codomain.coordinate_ranks
+        for v in itertools.islice(self.domain.vectors(), len(cols[0]), n):
+            for col, c in zip(cols, ranks(evaluate(v))):
                 col.append(c)
 
     def value(self, v):
         """phi(v), decoded from its ranks."""
-        r, field = self.m.domain.rank(v), self.m.codomain.field
+        r, field = self.domain.rank(v), self.codomain.field
         return tuple(field.element_from_rank(col[r]) for col in self.cols)
 
     def sum_row(self, i: int):
@@ -365,11 +383,12 @@ class _RankTable:
         mul = self.rows.field_mul(s)
         return self.rows.act(s), [mul] * len(self.cols)
 
-    def first_failure(self, row, outer: int, decode):
+    def first_failure(self, evaluate, row, outer: int, decode):
         """Scan rows 0..outer-1 in order, row(i) giving (index, field rows):
         pair (i, j) fails when some coordinate column has col[index[j]] !=
         frow[col[j]].  Returns (pairs before the first failure, [the
         failing pair decoded]), or (all pairs, []) when none fails.
+        evaluate is the map's, for the inputs not yet tabulated.
 
         Pair (0, 0) of either scan holds iff phi(0) = 0, and then so does
         the rest of row 0 (phi(0 + v) = phi(0) + phi(v), phi(0 * v) =
@@ -377,10 +396,10 @@ class _RankTable:
         is evaluated alone first, then every input, as the pair scan
         would; each later row is compared a whole column at a time."""
         n, cols = self.size, self.cols
-        self._extend(1)
+        self._extend(evaluate, 1)
         if any(col[0] for col in cols):
-            return 0, [(decode(0), self.m.domain.vector_from_rank(0))]
-        self._extend(n)
+            return 0, [(decode(0), self.domain.vector_from_rank(0))]
+        self._extend(evaluate, n)
         for i in range(outer):
             index, frows = row(i)
             first = n
@@ -392,19 +411,20 @@ class _RankTable:
                         j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b
                     ))
             if first < n:
-                pair = (decode(i), self.m.domain.vector_from_rank(first))
+                pair = (decode(i), self.domain.vector_from_rank(first))
                 return i * n + first, [pair]
         return outer * n, []
 
 
 def _memo(m: VectorMap, strategy):
-    """What one checker call evaluates m through, so that it evaluates each
-    distinct input at most once: a rank table for an exhaustive scan,
-    otherwise m.evaluate behind a dict filled on first use.  Fraction hashes
-    are not cached (a modular inverse each), so vectors over Q and Q(a) are
-    keyed by the integer pairs of their coefficients."""
+    """What a checker call evaluates m through: for an exhaustive scan the
+    map's own rank table, so that each input is evaluated at most once per
+    map whatever the property; otherwise m.evaluate behind a dict local to
+    the call and filled on first use, so at most once per call.  Fraction
+    hashes are not cached (a modular inverse each), so vectors over Q and
+    Q(a) are keyed by the integer pairs of their coefficients."""
     if strategy == EXHAUSTIVE:
-        return _RankTable(m)
+        return m._rank_table
     values, field = {}, m.domain.field
     if field.characteristic:
         key = None
@@ -436,7 +456,7 @@ def _scan_additive(m: VectorMap, strategy, memo) -> CheckReport:
     AssertionError rather than passing the map."""
     if strategy == EXHAUSTIVE:
         checked, pairs = memo.first_failure(
-            memo.sum_row, memo.size, m.domain.vector_from_rank
+            m.evaluate, memo.sum_row, memo.size, m.domain.vector_from_rank
         )
         evaluate = memo.value
     else:
@@ -457,7 +477,7 @@ def _scan_homogeneous(m: VectorMap, strategy, memo) -> CheckReport:
     if strategy == EXHAUSTIVE:
         field = m.domain.field
         checked, pairs = memo.first_failure(
-            memo.scale_row, field.order, field.element_from_rank
+            m.evaluate, memo.scale_row, field.order, field.element_from_rank
         )
         evaluate = memo.value
     else:

@@ -164,7 +164,9 @@ def _closed_form(count: int, expected: int) -> None:
 
 
 def _reverify(m, holds, fails) -> CheckReport:
-    """fails' exhaustive report on a scan's map; holds must hold, fails not."""
+    """fails' exhaustive report on a scan's map; holds must hold, fails not.
+    Both checks read the map's one rank table, so each input is evaluated
+    at most once."""
     report = fails(m, "exhaustive")
     if not holds(m, "exhaustive").holds or report.holds:
         raise AssertionError("scan emitted a map that fails re-verification")

@@ -320,6 +320,14 @@ def _table_spec(body):
     ).encode()
 
 
+def _z11_table(value, field="Fp:11"):
+    """The identity table of Z_11, with the value at (1) written as value."""
+    entries = [[f"({i})", f"({i})"] for i in range(11)]
+    entries[1][1] = value
+    return json.dumps({"field": field, "domain_dim": 1, "codomain_dim": 1,
+                       "map": {"kind": "table", "entries": entries}}).encode()
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -346,10 +354,18 @@ def _table_spec(body):
         # a JSON integer past Python's 4,300-digit limit for reading integers
         b'{"field": "Fp:2", "domain_dim": ' + b"1" * 5000
         + b', "codomain_dim": 1, "map": {"kind": "ratio"}}',
+        # integers only as encode writes them: no "_", "+" or non-ASCII digit
+        _z11_table("(1)", field="Fp:1_1"),
+        _z11_table("(1)", field="Fp:+11"),
+        _z11_table("(1_0)"),
+        _z11_table("(+3)"),
+        _z11_table("(\u0663)"),
     ],
     ids=["no-entries", "int-value", "not-utf8", "duplicate-input", "float-dim",
          "klinear-prime-field", "klinear-dims", "residue-range",
-         "coefficient-count", "descriptor-prime", "json-int-digits"],
+         "coefficient-count", "descriptor-prime", "json-int-digits",
+         "prime-underscore", "prime-plus", "residue-underscore", "residue-plus",
+         "residue-arabic-digit"],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, content):
     spec = tmp_path / "bad.json"

@@ -754,6 +754,17 @@ def test_bad_descriptor():
         parse_field("GF:4")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["Fp:+3", "Fp:1_1", "Fp:\u0663", "Fq:+2:1,1,1", "Fq:2:1,+1,1",
+     "Fq:\u0662:1,1,1"],
+)
+def test_descriptor_integers_are_ascii_digits(text):
+    # read as descriptor() writes them, -?[0-9]+, though int() takes these
+    with pytest.raises(SpecFormatError):
+        parse_field(text)
+
+
 @pytest.mark.parametrize("field", SMALL_FINITE + [Q, QS2], ids=lambda f: f.descriptor())
 def test_element_encoding_roundtrip(field):
     if field.is_finite:

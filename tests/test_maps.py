@@ -1,9 +1,11 @@
 """Counterexample constructions, property checkers, trace, serialization."""
 
+import gc
 import itertools
 import random
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,7 @@ from addhom.maps import (
     rational_proof_trace,
     report_to_dict,
 )
+from addhom.search import SearchConfig, _reverify, search_homogeneous_nonadditive
 from addhom.spaces import SpaceRows, VectorSpace
 
 Q = Rationals()
@@ -420,12 +423,77 @@ def test_check_linear_shares_one_memo():
     assert counted.calls == space.size
 
 
-def test_memo_does_not_outlive_a_call():
-    counted = CountingMap(build_char2_indicator())
-    check_homogeneous(counted, EXHAUSTIVE)
-    first = counted.calls
-    check_homogeneous(counted, EXHAUSTIVE)
-    assert counted.calls == 2 * first == 8
+def test_exhaustive_table_belongs_to_the_map():
+    # phi is additive, not homogeneous, so check_linear runs both scans.
+    # The first exhaustive check of a map tabulates phi; a later one,
+    # whatever its property, evaluates nothing.  A fresh, equal map is
+    # tabulated afresh, and a sampled check's memo lasts one call
+    for first, second in itertools.product(CHECKERS, repeat=2):
+        counted = CountingMap(build_theorem1_counterexample(GF4))
+        CHECKERS[first](counted, EXHAUSTIVE)
+        assert counted.calls == 4
+        assert CHECKERS[second](counted, EXHAUSTIVE) == CHECKERS[second](
+            build_theorem1_counterexample(GF4), EXHAUSTIVE)
+        assert counted.calls == 4
+    strategy = Sampled(seed=3, samples=20)
+    check_additive(counted, strategy)
+    once = counted.calls - 4
+    check_additive(counted, strategy)
+    assert counted.calls - 4 == 2 * once > 0
+
+
+def test_reverify_evaluates_each_input_once_across_both_checks():
+    result = search_homogeneous_nonadditive(SearchConfig(Z3, 2, 1))
+    counted = CountingMap(result.witness_map)
+    assert _reverify(counted, check_homogeneous, check_additive) == (
+        result.witness_report)
+    assert 0 < counted.calls <= counted.domain.size
+
+
+class RaisesOnceMap(CountingMap):
+    """A CountingMap whose first evaluation at one input raises."""
+
+    def __init__(self, inner, at):
+        super().__init__(inner)
+        self.at = at
+
+    def evaluate(self, v):
+        if v == self.at:
+            self.at = None
+            raise RuntimeError("evaluation failed once")
+        return super().evaluate(v)
+
+
+@pytest.mark.parametrize("prop", list(CHECKERS))
+def test_check_after_a_raising_evaluate_matches_a_fresh_map(prop):
+    # the raise comes at rank 3, before the perturbed entry at rank 7: a
+    # table that skipped or shifted an input would report another pair
+    m = RaisesOnceMap(_perturbed_linear_table(), at=(0, 3))
+    with pytest.raises(RuntimeError):
+        CHECKERS[prop](m, EXHAUSTIVE)
+    assert m.calls == 3
+    report = CHECKERS[prop](m, EXHAUSTIVE)
+    assert report == CHECKERS[prop](_perturbed_linear_table(), EXHAUSTIVE)
+    assert report.verdict == "violated"
+    assert m.calls == m.domain.size
+
+
+def test_a_checked_map_is_freed_with_its_last_reference():
+    # the kept table refers to the spaces, not to the map: without the
+    # cycle collector, dropping the map frees it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = build_theorem1_counterexample(GF9)
+        check_linear(m, EXHAUSTIVE)
+        check_additive(m, EXHAUSTIVE)
+        assert len(m._rank_table.cols[0]) == m.domain.size
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # rank scans against the tuple oracle ------------------------------------------------
