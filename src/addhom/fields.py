@@ -10,14 +10,18 @@ values so equality and hashing just work:
   * extensions  -> tuple of base elements, length = deg(m), ascending degree
 
 Polynomial arithmetic runs on Python ints.  Over Q an extension operand
-is cleared to integer numerators over one common denominator; a product is
-formed and folded through the modulus on ints, and a quotient is one
-fraction-free solve of an integer system, so each result coefficient becomes
-one reduced Fraction only at the end.  Fraction is canonical, so the results
-are the same values and bytes as per-coefficient Fraction arithmetic would
-give.  Over Z_p polynomials are lists of residues: products fold through
-the modulus the same way, and inverses (extended Euclid) and the
-irreducibility test (Ben-Or) divide residue lists with a `% p` inline.
+is cleared to integer numerators over one common denominator (numerators);
+a product is formed and folded through the modulus on ints
+(mul_numerators), and a quotient is one fraction-free solve of an integer
+system (div_numerators), so each result coefficient becomes one reduced
+Fraction only at the end.  Fraction is canonical, so the results are the
+same values and bytes as per-coefficient Fraction arithmetic would give.
+The maps that evaluate on integer numerators, the k-linear and the ratio
+map of maps.py, call these same pieces rather than the field operations;
+over finite fields the ratio map keeps add, mul and div.  Over Z_p
+polynomials are lists of residues: products fold through the modulus the
+same way, and inverses (extended Euclid) and the irreducibility test
+(Ben-Or) divide residue lists with a `% p` inline.
 
 Finite fields carry a canonical element order, "rank": residues by value,
 extension elements by sum(rank(c_i) * p**i) over ascending coefficients.
@@ -178,8 +182,19 @@ class Rationals(Field):
     def contains(self, a) -> bool:
         return isinstance(a, Fraction)
 
+    # Fraction(n, d) at index 9 (n + 9) + d - 1, for n in [-9, 9] and d in
+    # [1, 9]: built on the first draw, then shared by every instance
+    _draws = None
+
     def random_element(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        """Fraction(rng.randint(-9, 9), rng.randint(1, 9)), the same draws in
+        the same order, read from a table instead of reduced per draw."""
+        draws = Rationals._draws
+        if draws is None:
+            draws = Rationals._draws = tuple(
+                Fraction(n, d) for n in range(-9, 10) for d in range(1, 10)
+            )
+        return draws[9 * rng.randint(-9, 9) + rng.randint(1, 9) + 80]
 
     def encode(self, a) -> str:
         try:
@@ -495,8 +510,9 @@ def find_irreducible(base: PrimeField, degree: int):
 def numerators(a):
     """Integer numerators of a sequence of rationals over their least
     common denominator, and that denominator."""
-    den = math.lcm(*(c.denominator for c in a))
-    return [c.numerator * (den // c.denominator) for c in a], den
+    pairs = [c.as_integer_ratio() for c in a]
+    den = math.lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
 
 
 def _bareiss_solve(rows):
@@ -534,8 +550,10 @@ class ExtensionField(Field):
     integer numerators and folds it through M.  div over Q builds the
     integer columns b * x^j mod m with the same fold and solves b * u = a
     by fraction-free (Bareiss) elimination, and inv is div of one; only the
-    final coefficients are made Fractions.  Over Z_p, inv runs extended
-    Euclid on residue lists and div multiplies by the inverse.
+    final coefficients are made Fractions.  mul_numerators and
+    div_numerators are the product and that one solver on operands already
+    cleared, for callers that hold integer numerators.  Over Z_p, inv runs
+    extended Euclid on residue lists and div multiplies by the inverse.
     """
 
     def __init__(self, base: Field, modulus):
@@ -602,22 +620,32 @@ class ExtensionField(Field):
         u = _zp_inverse(a, self.modulus, p)
         return tuple(u + [0] * (self.degree - len(u)))
 
+    def mul_numerators(self, a, b):
+        """Over Q, the product of the integer polynomials a and b (as many
+        entries each as the degree) modulo m: its numerators and their
+        denominator, a power of the modulus's L."""
+        return _mulmod(a, b, self._numer, self._denom, 0)
+
     def div(self, a, b):
-        """a / b: over Z_p, a * b^-1.  Over Q, u = a / b solves b * u = a in
-        the basis 1, x, ..., x^(d-1).  With a = A / da, b = B / db and the
-        integer columns N_j = s_j (B x^j mod m), each the one before times
-        x, folded (s_j collects the fold's factors L), w_j = da u_j / s_j
-        solves N w = db A on ints, by fraction-free elimination."""
+        """a / b: over Z_p, a * b^-1; over Q, div_numerators of the
+        integer numerators of a and b."""
         p = self.characteristic
         if p:
             return self.mul(a, self.inv(b))
         if not any(b):
             raise DivisionByZero(f"1/0 in {self.descriptor()}")
+        return self.div_numerators(*numerators(a), *numerators(b))
+
+    def div_numerators(self, a, da, b, db):
+        """(a / da) / (b / db) over Q, for integer lists a and b of degree
+        entries each and b nonzero, as one reduced Fraction per coefficient.
+        u = a / b solves b * u = a in the basis 1, x, ..., x^(d-1): with the
+        integer columns N_j = s_j (b x^j mod m), each the one before times
+        x, folded (s_j collects the fold's factors L), w_j = da u_j / s_j
+        solves N w = db a on ints, by fraction-free elimination."""
         d = self.degree
-        rhs, da = numerators(a)
-        col, db = numerators(b)
-        rows = [[0] * d + [db * n] for n in rhs]
-        scales, scale = [], 1
+        rows = [[0] * d + [db * n] for n in a]
+        col, scales, scale = b, [], 1
         for j in range(d):
             if j:
                 col = [0] + col

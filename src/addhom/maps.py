@@ -13,6 +13,12 @@ Five map representations cover everything we need:
                             (characteristic != 2 only)
   * IndicatorMap         -- over Z_2^2: 0 at the origin, 1 elsewhere
 
+Over Q and Q(a) the k-linear and the ratio map evaluate on integer
+numerators, each input cleared once and each output coefficient made one
+reduced Fraction at the end, with no field operation; over finite fields
+the k-linear map is a residue dot product and the ratio map goes through
+the field's add, mul and div.
+
 Checkers scan ordered pairs in canonical enumeration order and report the
 first violation as a witness, so identical inputs always produce identical
 reports.  An exhaustive check runs on element ranks: it tabulates phi by
@@ -214,7 +220,15 @@ class KLinearExtensionMap(VectorMap):
 
 
 class RatioMap(VectorMap):
-    """(x, y) -> xy/(x+y) with the x+y = 0 branch sent to 0; F^2 -> F."""
+    """(x, y) -> xy/(x+y) with the x+y = 0 branch sent to 0; F^2 -> F.
+
+    Over characteristic 0 an evaluation is one integer computation, with no
+    field call.  With x = X/dx and y = Y/dy cleared to integer numerators,
+    x + y = S/(dx dy) for S = X dy + Y dx and xy = XY/(dx dy), so the value
+    is XY/S: over Q the one reduced Fraction xn yn / (xn yd + yn xd), over
+    Q(a) the product XY folded through the modulus (mul_numerators) and one
+    fraction-free solve S u = XY (div_numerators, the solver of the field's
+    own div).  Finite fields evaluate through their field operations."""
 
     def __init__(self, field: Field):
         if field.characteristic == 2:
@@ -228,10 +242,24 @@ class RatioMap(VectorMap):
     def evaluate(self, v):
         self._check_domain(v)
         x, y = v
-        s = self.field.add(x, y)
-        if s == self.field.zero:
-            return (self.field.zero,)
-        return (self.field.div(self.field.mul(x, y), s),)
+        field = self.field
+        if field.characteristic:
+            s = field.add(x, y)
+            if s == field.zero:
+                return (field.zero,)
+            return (field.div(field.mul(x, y), s),)
+        if isinstance(field, Rationals):
+            xn, xd = x.as_integer_ratio()
+            yn, yd = y.as_integer_ratio()
+            s = xn * yd + yn * xd
+            return (Fraction(xn * yn, s) if s else field.zero,)
+        xs, dx = numerators(x)
+        ys, dy = numerators(y)
+        s = [a * dy + b * dx for a, b in zip(xs, ys)]
+        if not any(s):
+            return (field.zero,)
+        prod, den = field.mul_numerators(xs, ys)
+        return (field.div_numerators(prod, den, s, 1),)
 
 
 class IndicatorMap(VectorMap):

@@ -35,7 +35,7 @@ from addhom.fields import (
     is_prime,
     parse_field,
 )
-from addhom.maps import EXHAUSTIVE, KLinearExtensionMap, check_additive
+from addhom.maps import EXHAUSTIVE, KLinearExtensionMap, RatioMap, check_additive
 from addhom.spaces import SpaceRows, VectorSpace
 
 Q = Rationals()
@@ -681,7 +681,7 @@ def _klinear_by_field_ops(m, v):
 
 
 def _forbidden(*args):
-    raise AssertionError("KLinearExtensionMap.evaluate called a field operation")
+    raise AssertionError("an integer evaluate called a field operation")
 
 
 @pytest.mark.parametrize(
@@ -712,6 +712,56 @@ def test_klinear_evaluate_matches_field_operations(field, monkeypatch):
         got = m.evaluate((x,))
         assert got == want
         assert m.codomain.contains(got)
+
+
+def _ratio_by_field_ops(field, x, y):
+    """The ratio map by its definition: x + y, then x * y / (x + y)."""
+    s = field.add(x, y)
+    if s == field.zero:
+        return (field.zero,)
+    return (field.div(field.mul(x, y), s),)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [Q, QS2, parse_field("Qext:-2,0,0,1"), parse_field("Qext:1/3,-2/5,7/2,1"),
+     gf(5, 2), PrimeField(23)],
+    ids=lambda f: f.descriptor(),
+)
+def test_ratio_evaluate_matches_field_operations(field, monkeypatch):
+    # the last Q(a) has modulus denominator L = 30, so its products fold with
+    # lead 30; the finite fields keep the field operations, on every pair
+    if field.is_finite:
+        elems = list(field.elements())
+    elif isinstance(field, Rationals):
+        rng = random.Random(1601)
+        elems = [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+                 for _ in range(14)] + [Fraction(1), Fraction(-1)]
+    else:
+        elems = _big_elements(field, 1601, 12)
+    pairs = [(x, y) for x in elems for y in elems]
+    pairs += [p for x in elems for p in
+              ((x, field.zero), (field.zero, x), (x, field.neg(x)))]
+    expected = [_ratio_by_field_ops(field, x, y) for x, y in pairs]
+    m = RatioMap(field)
+    if not field.is_finite:
+        for cls in (Rationals, ExtensionField):
+            for op in ("add", "mul", "div", "inv"):
+                monkeypatch.setattr(cls, op, _forbidden)
+    for (x, y), want in zip(pairs, expected):
+        got = m.evaluate((x, y))
+        assert repr(got) == repr(want)
+        assert m.codomain.contains(got)
+
+
+@pytest.mark.parametrize("seed", [7, 24001])
+def test_rational_draws_match_fraction_of_two_randints(seed):
+    table, plain = random.Random(seed), random.Random(seed)
+    for _ in range(10_000):
+        got = Q.random_element(table)
+        want = Fraction(plain.randint(-9, 9), plain.randint(1, 9))
+        assert type(got) is Fraction and got == want
+    assert table.getstate() == plain.getstate()
 
 
 # rank rows ------------------------------------------------------------------

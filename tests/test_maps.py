@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import random
 import time
 import tracemalloc
@@ -220,6 +221,60 @@ QC2 = parse_field("Qext:-2,0,0,1")
 def test_q_extension_sampled_reports_are_pinned(m, check, expected):
     # literals recorded with per-coefficient Fraction arithmetic
     assert report_to_dict(m, check(m, Sampled(seed=24001, samples=200))) == expected
+
+
+SAMPLED_REPORT_BYTES = [  # field, map, property, report JSON
+    ("Q", "ratio", "additive",
+     '{"property": "additive", "verdict": "violated", '
+     '"witness": {"kind": "additivity", "inputs": ["(1,0)", "(0,1)"], '
+     '"lhs": "(1/2)", "rhs": "(0)"}, "pairs_checked": 7}'),
+    ("Q", "ratio", "homogeneous",
+     '{"property": "homogeneous", "verdict": "holds_on_samples", '
+     '"witness": null, "pairs_checked": 212}'),
+    ("Qext:-2,0,1", "ratio", "additive",
+     '{"property": "additive", "verdict": "violated", '
+     '"witness": {"kind": "additivity", "inputs": ["([1,0],[0,0])", '
+     '"([0,0],[1,0])"], "lhs": "([1/2,0])", "rhs": "([0,0])"}, '
+     '"pairs_checked": 7}'),
+    ("Qext:-2,0,1", "ratio", "homogeneous",
+     '{"property": "homogeneous", "verdict": "holds_on_samples", '
+     '"witness": null, "pairs_checked": 216}'),
+    ("Qext:-2,0,1", "thm1", "additive",
+     '{"property": "additive", "verdict": "holds_on_samples", '
+     '"witness": null, "pairs_checked": 205}'),
+    ("Qext:-2,0,1", "thm1", "homogeneous",
+     '{"property": "homogeneous", "verdict": "violated", '
+     '"witness": {"kind": "homogeneity", "inputs": ["[0,1]", "([1,0])"], '
+     '"lhs": "([0,1])", "rhs": "([2,0])"}, "pairs_checked": 8}'),
+    ("Qext:-2,0,0,1", "ratio", "additive",
+     '{"property": "additive", "verdict": "violated", '
+     '"witness": {"kind": "additivity", "inputs": ["([1,0,0],[0,0,0])", '
+     '"([0,0,0],[1,0,0])"], "lhs": "([1/2,0,0])", "rhs": "([0,0,0])"}, '
+     '"pairs_checked": 7}'),
+    ("Qext:-2,0,0,1", "ratio", "homogeneous",
+     '{"property": "homogeneous", "verdict": "holds_on_samples", '
+     '"witness": null, "pairs_checked": 216}'),
+    ("Qext:-2,0,0,1", "thm1", "additive",
+     '{"property": "additive", "verdict": "holds_on_samples", '
+     '"witness": null, "pairs_checked": 205}'),
+    ("Qext:-2,0,0,1", "thm1", "homogeneous",
+     '{"property": "homogeneous", "verdict": "violated", '
+     '"witness": {"kind": "homogeneity", "inputs": ["[0,1,0]", '
+     '"([1,0,0])"], "lhs": "([0,1,0])", "rhs": "([0,0,1])"}, '
+     '"pairs_checked": 8}'),
+]
+
+
+@pytest.mark.parametrize("seed", [13, 24001])
+def test_sampled_reports_keep_their_bytes(seed):
+    # recorded with Fraction(randint, randint) draws and ratio values through
+    # field add/mul/div; the same bytes at both seeds
+    builders = {"ratio": build_ratio_map, "thm1": build_theorem1_counterexample}
+    checks = {"additive": check_additive, "homogeneous": check_homogeneous}
+    for desc, kind, prop, want in SAMPLED_REPORT_BYTES:
+        m = builders[kind](parse_field(desc))
+        report = checks[prop](m, Sampled(seed=seed))
+        assert json.dumps(report_to_dict(m, report)) == want, (desc, kind, prop)
 
 
 @pytest.mark.parametrize("field", [Z3, Z5, GF9], ids=lambda f: f.descriptor())
