@@ -9,6 +9,12 @@ values so equality and hashing just work:
   * Z_p         -> int in [0, p)
   * extensions  -> tuple of base elements, length = deg(m), ascending degree
 
+An extension field's arithmetic, membership checks, ranks and draws work
+on the coefficient tuple in one call, with no base-field call per
+coefficient (`+`/`-` over Q, `% p` inline over Z_p), and scale(lam,
+coords) scales a whole vector in one call, over Q(a) clearing lam to
+integer numerators once.
+
 Polynomial arithmetic runs on Python ints.  Over Q an extension operand
 is cleared to integer numerators over one common denominator (numerators);
 a product is formed and folded through the modulus on ints
@@ -34,6 +40,7 @@ tables.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -90,12 +97,14 @@ def is_prime(n: int) -> bool:
 class Field:
     """Common surface of all supported scalar fields.
 
-    Each subclass gives add, mul, neg and inv; contains, encode, decode and
-    descriptor; embed(value, char), which takes a prime-subfield scalar (a
-    rational for char 0, a residue mod p for char p); and random_element(rng)
-    for the sampled checking strategy, deterministic per rng: rationals
-    draw the numerator from [-9, 9] and the denominator from [1, 9].
-    Finite fields also give rank and element_from_rank."""
+    Each subclass gives add, mul, neg and inv; scale(lam, coords), the
+    tuple of lam * c for c in coords (a vector's scalar action, in one
+    call); contains, encode, decode and descriptor; embed(value, char),
+    which takes a prime-subfield scalar (a rational for char 0, a residue
+    mod p for char p); and random_element(rng) for the sampled checking
+    strategy, deterministic per rng: rationals draw the numerator from
+    [-9, 9] and the denominator from [1, 9].  Finite fields also give rank
+    and element_from_rank."""
 
     characteristic: int
     order: int | None  # None for infinite fields
@@ -161,6 +170,9 @@ class Rationals(Field):
     def mul(self, a, b):
         return a * b
 
+    def scale(self, lam, coords):
+        return tuple([lam * c for c in coords])
+
     def neg(self, a):
         return -a
 
@@ -187,14 +199,29 @@ class Rationals(Field):
     _draws = None
 
     def random_element(self, rng):
-        """Fraction(rng.randint(-9, 9), rng.randint(1, 9)), the same draws in
-        the same order, read from a table instead of reduced per draw."""
+        """Fraction(rng.randint(-9, 9), rng.randint(1, 9)), read from a table.
+        The two randint calls are replayed on rng.getrandbits as CPython's
+        randint draws on 3.10-3.13 (bit_length(width) bits, redrawn while out
+        of range), so the values and the final rng state are those of the
+        calls; a test in test_fields pins this."""
+        return self.draw(rng, 1)[0]
+
+    def draw(self, rng, k: int) -> list:
+        """k values of random_element, in one call."""
         draws = Rationals._draws
         if draws is None:
             draws = Rationals._draws = tuple(
                 Fraction(n, d) for n in range(-9, 10) for d in range(1, 10)
             )
-        return draws[9 * rng.randint(-9, 9) + rng.randint(1, 9) + 80]
+        getrandbits, out = rng.getrandbits, []
+        for _ in range(k):
+            i = j = 19  # n + 9 and d - 1; out of range, so each loop draws
+            while i > 18:  # randint(-9, 9): -9 + a 5-bit draw below 19
+                i = getrandbits(5)
+            while j > 8:  # randint(1, 9): 1 + a 4-bit draw below 9
+                j = getrandbits(4)
+            out.append(draws[9 * i + j])
+        return out
 
     def encode(self, a) -> str:
         try:
@@ -237,6 +264,10 @@ class PrimeField(Field):
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def scale(self, lam, coords):
+        p = self.p
+        return tuple([lam * c % p for c in coords])
 
     def neg(self, a):
         return (-a) % self.p
@@ -589,10 +620,14 @@ class ExtensionField(Field):
             self._numer = tuple(numer[:-1])
 
     def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        p = self.characteristic
+        if p:
+            return tuple([(x + y) % p for x, y in zip(a, b)])
+        return tuple(map(operator.add, a, b))
 
     def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
+        p = self.characteristic
+        return tuple([-x % p for x in a]) if p else tuple(map(operator.neg, a))
 
     def mul(self, a, b):
         """Schoolbook product of the integer numerators, folded through the
@@ -609,6 +644,21 @@ class ExtensionField(Field):
         if p:
             return tuple([n % p for n in prod])
         return tuple([Fraction(n, den) for n in prod])
+
+    def scale(self, lam, coords):
+        """mul(lam, c) for each c in coords, with lam cleared to integer
+        numerators once for the whole vector over Q."""
+        p, low, lead = self.characteristic, self._numer, self._denom
+        if p:
+            return tuple([tuple([n % p for n in _mulmod(lam, c, low, 1, p)[0]])
+                          for c in coords])
+        lam, dl = numerators(lam)
+        out = []
+        for c in coords:
+            c, dc = numerators(c)
+            prod, den = _mulmod(lam, c, low, lead, 0, dl * dc)
+            out.append(tuple([Fraction(n, den) for n in prod]))
+        return tuple(out)
 
     def inv(self, a):
         """Over Q, one / a (div); over Z_p, extended Euclid on residues."""
@@ -660,18 +710,16 @@ class ExtensionField(Field):
     def rank(self, a) -> int:
         if not self.is_finite:
             raise InfiniteFieldError(f"{self} has no element rank")
-        p = self.base.order
-        r = 0
+        p, r = self.characteristic, 0
         for c in reversed(a):
-            r = r * p + self.base.rank(c)
+            r = r * p + c % p
         return r
 
     def element_from_rank(self, r: int):
-        p = self.base.order
-        coeffs = []
+        p, coeffs = self.characteristic, []
         for _ in range(self.degree):
-            coeffs.append(self.base.element_from_rank(r % p))
-            r //= p
+            r, c = divmod(r, p)
+            coeffs.append(c)
         return tuple(coeffs)
 
     def embed(self, value, char: int):
@@ -679,14 +727,17 @@ class ExtensionField(Field):
         return (c,) + (self.base.zero,) * (self.degree - 1)
 
     def contains(self, a) -> bool:
-        return (
-            isinstance(a, tuple)
-            and len(a) == self.degree
-            and all(self.base.contains(c) for c in a)
+        p = self.characteristic
+        return isinstance(a, tuple) and len(a) == self.degree and all(
+            [isinstance(c, int) and 0 <= c < p for c in a] if p
+            else [isinstance(c, Fraction) for c in a]
         )
 
     def random_element(self, rng):
-        return tuple(self.base.random_element(rng) for _ in range(self.degree))
+        p = self.characteristic
+        if p:
+            return tuple([rng.randrange(p) for _ in range(self.degree)])
+        return tuple(self.base.draw(rng, self.degree))
 
     def encode(self, a) -> str:
         return "[" + ",".join(self.base.encode(c) for c in a) + "]"
@@ -700,7 +751,7 @@ class ExtensionField(Field):
             raise SpecFormatError(
                 f"expected {self.degree} coefficients in {text!r}"
             )
-        return tuple(self.base.decode(p) for p in parts)
+        return tuple(map(self.base.decode, parts))
 
     def descriptor(self) -> str:
         coeffs = ",".join(self.base.encode(c) for c in self.modulus)

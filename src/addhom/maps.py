@@ -305,19 +305,25 @@ def build_char2_indicator() -> IndicatorMap:
 def _resolve_strategy(m: VectorMap, strategy, k: int):
     """The strategy a check runs.  An exhaustive scan of q^k pairs over the
     limit is refused before any work; as q^k >= 2^k, a k past the bit
-    length of the limit is over it."""
+    length of the limit is over it.  So is a sampled run of more samples
+    than the limit, before anything is drawn."""
     if strategy is None:
         strategy = EXHAUSTIVE if m.domain.is_finite else Sampled()
     elif strategy == EXHAUSTIVE and not m.domain.is_finite:
         raise InfiniteDomainExhaustive(
             f"cannot exhaust {m.domain}; use the sampled strategy"
         )
+    limit = DEFAULT_MAX_CANDIDATES
     if strategy == EXHAUSTIVE:
-        q, limit = m.domain.field.order, DEFAULT_MAX_CANDIDATES
+        q = m.domain.field.order
         if k > limit.bit_length() or q**k > limit:
             raise SearchSpaceTooLarge(
                 f"{q}^{k} pairs exceed the limit {limit}; use --strategy sampled"
             )
+    elif strategy.samples > limit:
+        raise SearchSpaceTooLarge(
+            f"{strategy.samples} samples exceed the limit {limit}"
+        )
     return strategy
 
 

@@ -69,14 +69,14 @@ class VectorSpace:
     def _check(self, v):
         if len(v) != self.dim:
             raise DimensionMismatch(f"expected dimension {self.dim}, got {len(v)}")
-        if not all(self.field.contains(c) for c in v):
+        if not all(map(self.field.contains, v)):
             raise FieldMismatch(f"vector {v!r} not over {self.field}")
 
     def contains(self, v) -> bool:
         return (
             isinstance(v, tuple)
             and len(v) == self.dim
-            and all(self.field.contains(c) for c in v)
+            and all(map(self.field.contains, v))
         )
 
     # arithmetic -------------------------------------------------------
@@ -84,17 +84,17 @@ class VectorSpace:
     def add(self, u, v):
         self._check(u)
         self._check(v)
-        return tuple(self.field.add(a, b) for a, b in zip(u, v))
+        return tuple(map(self.field.add, u, v))
 
     def neg(self, v):
         self._check(v)
-        return tuple(self.field.neg(a) for a in v)
+        return tuple(map(self.field.neg, v))
 
     def scalar_mul(self, lam, v):
         if not self.field.contains(lam):
             raise FieldMismatch(f"scalar {lam!r} not in {self.field}")
         self._check(v)
-        return tuple(self.field.mul(lam, a) for a in v)
+        return self.field.scale(lam, v)
 
     # enumeration ------------------------------------------------------
 
@@ -126,8 +126,7 @@ class VectorSpace:
         self._check(v)
         for c in v:
             if c != self.field.zero:
-                inv = self.field.inv(c)
-                return tuple(self.field.mul(a, inv) for a in v), c
+                return self.field.scale(self.field.inv(c), v), c
         raise ZeroVector("the zero vector has no orbit representative")
 
     def is_representative(self, v) -> bool:
@@ -156,17 +155,16 @@ class VectorSpace:
             raise SpecFormatError(
                 f"expected {self.dim} coordinates in {text!r}"
             )
-        return tuple(self.field.decode(p) for p in parts)
+        return tuple(map(self.field.decode, parts))
 
     def random_vector(self, rng):
-        return tuple(self.field.random_element(rng) for _ in range(self.dim))
+        return tuple([self.field.random_element(rng) for _ in range(self.dim)])
 
     def coordinate_ranks(self, v) -> tuple:
         """v's coordinate ranks, after the checks that add and scalar_mul
         make on an operand."""
         self._check(v)
-        rank = self.field.rank
-        return tuple([rank(c) for c in v])
+        return tuple(map(self.field.rank, v))
 
     def __repr__(self):
         return f"{self.field.descriptor()}^{self.dim}"

@@ -109,6 +109,18 @@ def test_check_default_sampled_run_uses_seed_and_samples(tmp_path, capsys):
     assert json.loads(default)["pairs_checked"] == 8  # 5 corner pairs + 3 samples
 
 
+def test_check_refuses_too_many_samples_at_once(tmp_path, capsys):
+    spec = tmp_path / "ratio_q.json"
+    run(capsys, "counterexample", "ratio", "--out", str(spec))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--input", str(spec), "--property",
+                         "homogeneous", "--strategy", "sampled", "--samples",
+                         "100000000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "error: 100000000000 samples exceed the limit 100000000\n"
+
+
 def test_text_and_json_agree(tmp_path, capsys):
     spec = tmp_path / "ind.json"
     run(capsys, "counterexample", "char2-indicator", "--out", str(spec))

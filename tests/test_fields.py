@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from addhom import fields
 from addhom.errors import (
     CharacteristicMismatch,
+    DimensionMismatch,
     DivisionByZero,
+    FieldMismatch,
     InfiniteFieldError,
     ModulusTooLarge,
     NonMonicModulus,
@@ -23,6 +25,7 @@ from addhom.errors import (
     SpecFormatError,
     UnsupportedDegree,
     UnsupportedTower,
+    ZeroVector,
 )
 from addhom.fields import (
     PRIME_LIMIT,
@@ -752,6 +755,157 @@ def test_ratio_evaluate_matches_field_operations(field, monkeypatch):
         got = m.evaluate((x, y))
         assert repr(got) == repr(want)
         assert m.codomain.contains(got)
+
+
+KERNEL_FIELDS = [Q, QS2, parse_field("Qext:-2,0,0,1"),
+                 parse_field("Qext:1/3,-2/5,7/2,1"), PrimeField(23), gf(5, 2), GF8]
+
+
+def _per_coefficient(*args):
+    raise AssertionError("an extension kernel called its base field")
+
+
+def _by_coefficients(field, op, *elems):
+    """The base field's op, coefficient by coefficient for an extension."""
+    if isinstance(field, ExtensionField):
+        return tuple(getattr(field.base, op)(*cs) for cs in zip(*elems))
+    return getattr(field, op)(*elems)
+
+
+def _product(field, a, b):
+    if isinstance(field, ExtensionField):
+        return _reduced_product(field, a, b)
+    return field.mul(a, b)
+
+
+def _rep_by_coefficients(field, v):
+    first = next(c for c in v if c != field.zero)
+    inv = field.inv(first)
+    return tuple(_product(field, c, inv) for c in v), first
+
+
+def _draw_by_coefficients(field, rng):
+    """A base-field draw per coefficient: randrange(p) over Z_p, the two
+    randint calls over Q."""
+    def draw():
+        if field.characteristic:
+            return rng.randrange(field.characteristic)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if isinstance(field, ExtensionField):
+        return tuple(draw() for _ in range(field.degree))
+    return draw()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.descriptor())
+def test_element_and_vector_kernels_match_base_field_operations(field, monkeypatch):
+    # expected values are made first, from base-field operations one
+    # coefficient at a time; then an extension's base field is patched to
+    # raise, so the kernels are shown to make no base-field call
+    if field.is_finite:
+        elems = list(field.elements())
+    elif isinstance(field, Rationals):
+        rng = random.Random(2001)
+        elems = [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+                 for _ in range(9)] + [Q.one, -Q.one, Q.zero]
+    else:
+        elems = _big_elements(field, 2001, 9) + [field.zero]
+    rng = random.Random(2002)
+    space = VectorSpace(field, 3)
+    vectors = [tuple(rng.choice(elems) for _ in range(3)) for _ in range(12)]
+    vectors += [(field.zero, x, y) for x, y in zip(elems[:4], elems[4:8])]
+    vectors.append((field.zero, field.zero, field.one))
+    pairs = [(x, y) for x in elems for y in elems[::3]]
+    lams = elems[::2]
+    expected = {
+        "add": [_by_coefficients(field, "add", x, y) for x, y in pairs],
+        "neg": [_by_coefficients(field, "neg", x) for x in elems],
+        "vadd": [tuple(_by_coefficients(field, "add", a, b) for a, b in zip(u, v))
+                 for u, v in zip(vectors, vectors[1:])],
+        "vneg": [tuple(_by_coefficients(field, "neg", a) for a in v) for v in vectors],
+        "scale": [tuple(_product(field, lam, c) for c in v)
+                  for lam in lams for v in vectors],
+        "rep": [_rep_by_coefficients(field, v) for v in vectors],
+    }
+    if field.is_finite:
+        p = field.characteristic
+        expected["rank"] = [
+            sum(field.base.rank(c) * p**i for i, c in enumerate(x))
+            if isinstance(field, ExtensionField) else field.rank(x) for x in elems
+        ]
+    plain = random.Random(2003)
+    expected["draws"] = [tuple(_draw_by_coefficients(field, plain) for _ in range(3))
+                         for _ in range(40)]
+    if isinstance(field, ExtensionField):
+        for op in ("add", "neg", "mul", "inv", "rank", "element_from_rank",
+                   "contains", "random_element"):
+            monkeypatch.setattr(field.base, op, _per_coefficient, raising=False)
+    got = {
+        "add": [field.add(x, y) for x, y in pairs],
+        "neg": [field.neg(x) for x in elems],
+        "vadd": [space.add(u, v) for u, v in zip(vectors, vectors[1:])],
+        "vneg": [space.neg(v) for v in vectors],
+        "scale": [space.scalar_mul(lam, v) for lam in lams for v in vectors],
+        "rep": [space.canonical_rep(v) for v in vectors],
+    }
+    assert got["scale"] == [field.scale(lam, v) for lam in lams for v in vectors]
+    if field.is_finite:
+        got["rank"] = [field.rank(x) for x in elems]
+        assert got["rank"] == list(range(field.order))
+        assert list(field.elements()) == elems  # element_from_rank, rank's inverse
+        assert [space.coordinate_ranks(v) for v in vectors] == [
+            tuple(got["rank"][elems.index(c)] for c in v) for v in vectors]
+    drawn = random.Random(2003)
+    got["draws"] = [space.random_vector(drawn) for _ in range(40)]
+    assert drawn.getstate() == plain.getstate()
+    for key, want in expected.items():
+        same = repr(got[key]) == repr(want)  # values and their types
+        assert same, key
+    assert all(field.contains(x) for x in elems)
+    assert all(space.contains(v) for v in vectors + got["vadd"] + got["scale"])
+    with pytest.raises(ZeroVector):
+        space.canonical_rep(space.zero)
+
+
+def _membership_cases(field):
+    """Bad inputs to a 2-dim space over field, each with the verdict of
+    contains and the error _check raises (None: it passes)."""
+    p, one = field.characteristic, field.one
+    ext = isinstance(field, ExtensionField)
+
+    def element(c):  # an element whose first coefficient is c
+        return (c,) + one[1:] if ext else c
+
+    cases = [
+        ("float", (element(1.0), one), False, FieldMismatch),
+        ("list vector", [one, one], False, None),
+        ("wrong length", (one, one, one), False, DimensionMismatch),
+        # bool is an int: a residue 0 or 1, not a Fraction
+        ("bool", (element(True), one), bool(p), None if p else FieldMismatch),
+    ]
+    if ext:
+        cases += [("list element", (list(one), one), False, FieldMismatch),
+                  ("short element", (one[:-1], one), False, FieldMismatch)]
+    if p:
+        cases += [("residue p", (element(p), one), False, FieldMismatch),
+                  ("Fraction residue", (element(Fraction(1)), one), False,
+                   FieldMismatch)]
+    return cases
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.descriptor())
+def test_membership_verdicts_and_messages(field):
+    space = VectorSpace(field, 2)
+    for label, v, verdict, error in _membership_cases(field):
+        assert space.contains(v) is verdict, label
+        # the first coordinate is the bad one, unless the vector's shape is
+        assert field.contains(v[0]) is (verdict or error is not FieldMismatch), label
+        if error is None:
+            space._check(v)
+            continue
+        msg = (f"vector {v!r} not over {field}" if error is FieldMismatch
+               else "expected dimension 2, got 3")
+        with pytest.raises(error, match=f"^{re.escape(msg)}$"):
+            space._check(v)
 
 
 @pytest.mark.parametrize("seed", [7, 24001])

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from addhom import maps
 from addhom.errors import (
     CharacteristicMismatch,
     CharacteristicTwo,
@@ -318,6 +319,28 @@ def test_exhaustive_checks_refuse_past_the_limit():
     assert check_homogeneous(m, Sampled(samples=20)).holds
     # the largest exhaustive check the benchmark runs, 25^4 pairs, still runs
     assert check_additive(build_ratio_map(gf(5, 2))).verdict == "violated"
+
+
+def test_sampled_checks_refuse_past_the_limit(monkeypatch):
+    m = build_ratio_map(Q)
+    start = time.perf_counter()
+    for check in (check_additive, check_homogeneous, check_linear):
+        with pytest.raises(
+            SearchSpaceTooLarge,
+            match=r"^100000000000 samples exceed the limit 100000000$",
+        ):
+            check(m, Sampled(samples=10**11))
+    assert time.perf_counter() - start < 1.0
+    # the limit itself still runs, one more sample is refused before any draw
+    monkeypatch.setattr(maps, "DEFAULT_MAX_CANDIDATES", 5)
+    assert check_homogeneous(m, Sampled(samples=5)).pairs_checked == 12 + 5
+    monkeypatch.setattr(m.domain, "random_vector", _forbidden_draw)
+    with pytest.raises(SearchSpaceTooLarge, match=r"^6 samples exceed the limit 5$"):
+        check_homogeneous(m, Sampled(samples=6))
+
+
+def _forbidden_draw(rng):
+    raise AssertionError("a refused sampled check drew a vector")
 
 
 def test_orbit_table_value_count_checked_before_enumeration():

@@ -42,6 +42,24 @@ def _draw_table_shifted(mp):
         Fraction(n, d) for n in range(-8, 11) for d in range(1, 10)))
 
 
+def _draw_denominator_five_bits(mp):
+    # the draw replay reads randint(1, 9) from 5 bits instead of 4
+    mp.setattr(Rationals, "draw", _mutated(
+        Rationals.draw, "getrandbits(4)", "getrandbits(5)"))
+
+
+def _scale_drops_lambda_denominator(mp):
+    # the Q(a) scalar action forgets the denominator lam was cleared over
+    mp.setattr(ExtensionField, "scale", _mutated(
+        ExtensionField.scale, "dl * dc", "dc"))
+
+
+def _zp_sum_without_reduction(mp):
+    # the inlined Z_p coefficient sum loses its % p
+    mp.setattr(ExtensionField, "add", _mutated(
+        ExtensionField.add, "(x + y) % p", "(x + y)"))
+
+
 FAULTS = {  # fault: (seeded fault, the test that catches it, its parameters)
     "ratio-sum-as-difference": (
         _ratio_sum_as_difference,
@@ -57,6 +75,21 @@ FAULTS = {  # fault: (seeded fault, the test that catches it, its parameters)
         _draw_table_shifted,
         test_fields.test_rational_draws_match_fraction_of_two_randints,
         {"seed": 7},
+    ),
+    "draw-denominator-five-bits": (
+        _draw_denominator_five_bits,
+        test_fields.test_rational_draws_match_fraction_of_two_randints,
+        {"seed": 7},
+    ),
+    "scale-drops-lambda-denominator": (
+        _scale_drops_lambda_denominator,
+        test_fields.test_element_and_vector_kernels_match_base_field_operations,
+        {"field": parse_field("Qext:-2,0,1")},
+    ),
+    "zp-sum-without-reduction": (
+        _zp_sum_without_reduction,
+        test_fields.test_element_and_vector_kernels_match_base_field_operations,
+        {"field": parse_field("Fq:5:2,0,1")},
     ),
 }
 
