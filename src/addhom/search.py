@@ -15,16 +15,19 @@ Two scans, each a consumer of one walk over tuples of codomain value ranks:
 
 Both test a candidate, given as the list of its value indices, against one
 constraint set (_IndexTables) built once per call by rank arithmetic, so
-the walk never touches field elements.  Counts are exact Python ints,
-checked against the paper's closed forms.  Both scans run in one process,
-in canonical order; the `jobs` setting is accepted for compatibility and
-selects nothing.
+the walk never touches field elements.  The table scan tests homogeneity
+on one row: the primitive element g generates F*, so a map is homogeneous
+iff it fixes 0 and commutes with g.  Only the orbit search builds orbit
+tables.  Counts are exact Python ints, checked against the paper's closed
+forms.  Both scans run in one process, in canonical order; the `jobs`
+setting is accepted for compatibility and selects nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
+from functools import cached_property
 
 from .errors import (
     DEFAULT_MAX_CANDIDATES,
@@ -71,37 +74,49 @@ class _IndexTables:
     index.  The ranks e in SpaceRows.basis are a Z_p-basis of F^du, so by
     induction on the Z_p coordinates phi is additive iff phi(i + e) = phi(i)
     + phi(e) for every i and e (i = 0 gives phi(0) = 0): sums holds these
-    n*d*du triples (i, e, i + e), read off the domain's addition rows.  With g
-    the primitive element of SpaceRows (1 if q = 2), scales[i] indexes g*v_i,
-    and orbit_of names each nonzero g^k*rep by its orbit and the codomain
-    action of g^k; phi is homogeneous iff it is the orbit map of its own
-    values at the representatives (reps by rank, rep_vectors as vectors)."""
+    n*d*du triples (i, e, i + e), read off cadd, the codomain's sum table.
+    With g the primitive element of SpaceRows (1 if q = 2), scales[i]
+    indexes g*v_i and gact is g's codomain action; g generates F*, so phi
+    is homogeneous iff phi(0) = 0 and gact[phi[i]] = phi[scales[i]] for
+    every i.  Both scans build these; only the orbit search (orbits=True)
+    builds the orbit tables: reps (by rank) and rep_vectors, and orbit_of,
+    naming each nonzero g^k*rep by its orbit and the codomain action of g^k.
+    cvecs, the codomain vectors, are decoded when a map is emitted."""
 
-    def __init__(self, domain: VectorSpace, codomain: VectorSpace):
+    def __init__(self, domain: VectorSpace, codomain: VectorSpace, orbits=False):
         self.domain, self.codomain = domain, codomain
-        self.cvecs = list(codomain.vectors())
         n, q = domain.size, domain.field.order
         drows, crows = SpaceRows(domain), SpaceRows(codomain)
-        self.cadd = [crows.add(i) for i in range(len(self.cvecs))]
+        # the sum table, one coordinate at a time, the new one slowest
+        frows = [crows.field_add(a) for a in range(q)]
+        cadd, size = frows, q
+        for _ in range(codomain.dim - 1):
+            cadd = [[x * size + y for x in f for y in row] for f in frows for row in cadd]
+            size *= q
+        self.cadd = cadd
         exp = crows.exp  # exp[k] = rank(g^k)
-        cpow = [crows.act(s) for s in exp]  # codomain action of g^k
-        k = 1 % (q - 1)  # exp[k] is g (k = 0 when q = 2, where g = 1)
-        self.scales = drows.act(exp[k])
+        g = exp[1 % (q - 1)]  # exp[0] = 1 is g when q = 2
+        self.scales, self.gact = drows.act(g), crows.act(g)
         basis = [(e, drows.add(e)) for e in drows.basis]
         self.sums = [(i, e, add[i]) for i in range(n) for e, add in basis]
-        self.rep_vectors = domain.orbits()
-        self.reps = [domain.rank(v) for v in self.rep_vectors]
-        # per nonzero domain vector g^k*rep: (orbit index, codomain action of g^k)
-        orbit_of = [None] * n
-        for o, i in enumerate(self.reps):
-            for act in cpow:
-                orbit_of[i] = (o, act)
-                i = self.scales[i]
-        self.orbit_of = orbit_of[1:]
+        if orbits:
+            self.rep_vectors = domain.orbits()
+            self.reps = [domain.rank(v) for v in self.rep_vectors]
+            cpow = [crows.act(s) for s in exp]  # codomain action of g^k
+            orbit_of = [None] * n
+            for o, i in enumerate(self.reps):
+                for act in cpow:
+                    orbit_of[i] = (o, act)
+                    i = self.scales[i]
+            self.orbit_of = orbit_of[1:]
+
+    @cached_property
+    def cvecs(self) -> list:
+        return list(self.codomain.vectors())
 
     def walk(self, slots, fill):
         """fill(values) per tuple of slots value ranks, slot 0 slowest, lazily."""
-        return map(fill, itertools.product(range(len(self.cvecs)), repeat=slots))
+        return map(fill, itertools.product(range(len(self.cadd)), repeat=slots))
 
     def phi_from_assignment(self, assign):
         """Index table of the orbit map with the given per-orbit value ranks."""
@@ -115,7 +130,8 @@ class _IndexTables:
         return True
 
     def is_homogeneous(self, phi) -> bool:
-        return phi == self.phi_from_assignment([phi[i] for i in self.reps])
+        gact = self.gact
+        return phi[0] == 0 and [gact[v] for v in phi] == [phi[i] for i in self.scales]
 
     def table_map(self, phi) -> TableMap:
         vector = self.domain.vector_from_rank
@@ -150,7 +166,8 @@ def _guarded_tables(field: Field, du: int, dv: int, per_orbit: bool, limit: int)
             if q ** (2 * dv) > limit:
                 raise SearchSpaceTooLarge(
                     f"{q}^{2 * dv} codomain sums exceed the limit {limit}")
-            return q**k, _IndexTables(VectorSpace(field, du), VectorSpace(field, dv))
+            return q**k, _IndexTables(VectorSpace(field, du), VectorSpace(field, dv),
+                                      per_orbit)
     if k is None or k.bit_length() > 64:
         k = f"({dv}*({q}^{du}-1)/{q - 1})" if per_orbit else f"({dv}*{q}^{du})"
     what = "candidates" if per_orbit else "tables"

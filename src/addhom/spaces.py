@@ -66,7 +66,9 @@ class VectorSpace:
             raise InfiniteFieldError(f"{self} is infinite")
         return self.field.order ** self.dim
 
-    def _check(self, v):
+    def _check(self, v):  # raises on what contains rejects
+        if not isinstance(v, tuple):
+            raise FieldMismatch(f"vector {v!r} not over {self.field}")
         if len(v) != self.dim:
             raise DimensionMismatch(f"expected dimension {self.dim}, got {len(v)}")
         if not all(map(self.field.contains, v)):
@@ -190,14 +192,16 @@ class SpaceRows:
     A field rank's base-p digits are its Z_p coefficients, so a field
     addition row is the product of Z_p rows, digit by digit, with no field
     call, and the vector ranks p^k (basis) are a Z_p-basis of the space.
-    Multiplication goes through the logarithms of a primitive
-    element g, the first element by rank of order q - 1: exp[k] = rank(g^k)
-    and log[exp[k]] = k (the Zech construction; Lidl and Niederreiter,
-    Finite Fields, ch. 9).  Building them costs O(q) field operations, paid
-    on the first field_mul() (or read of exp), so addition rows alone
-    cost none.  Field addition rows are kept when dim >= 2, where all q^2
-    of their entries fit in one vector row of q^dim; at dim 1 each is
-    rebuilt on request.  No other row is kept."""
+    Multiplication goes through the logarithms of a primitive element g,
+    the first element by rank of order q - 1: exp[k] = rank(g^k) and
+    log[exp[k]] = k (the Zech construction; Lidl and Niederreiter, Finite
+    Fields, ch. 9).  Building them costs O(q) field operations, paid once
+    per field object, on the first field_mul() (or read of exp) of any
+    SpaceRows over it, so addition rows alone cost none.  The two lists,
+    of q - 1 and q ints, stay on the field object for its lifetime and are
+    shared by every space over it.  Field addition rows are kept when
+    dim >= 2, where all q^2 of their entries fit in one vector row of
+    q^dim; at dim 1 each is rebuilt on request.  No other row is kept."""
 
     def __init__(self, space: VectorSpace):
         field = self.field = space.field
@@ -216,22 +220,25 @@ class SpaceRows:
         return [self.p**k for k in range(self.digits * self.dim)]
 
     def _logs(self):
-        """(exp, log), built on the first call."""
+        """(exp, log), built once per field object and kept on it."""
         if self._tables is None:
-            field, q, one = self.field, self.q, self.field.one
-            for g in range(1, q):
-                gen, x, exp = field.element_from_rank(g), one, []
-                while True:
-                    exp.append(field.rank(x))
-                    x = field.mul(x, gen)
-                    if x == one:
+            cache = vars(self.field)
+            if "_logs" not in cache:
+                field, q, one = self.field, self.q, self.field.one
+                for g in range(1, q):
+                    gen, x, exp = field.element_from_rank(g), one, []
+                    while True:
+                        exp.append(field.rank(x))
+                        x = field.mul(x, gen)
+                        if x == one:
+                            break
+                    if len(exp) == q - 1:
                         break
-                if len(exp) == q - 1:
-                    break
-            log = [0] * q
-            for k, r in enumerate(exp):
-                log[r] = k
-            self._tables = exp, log
+                log = [0] * q
+                for k, r in enumerate(exp):
+                    log[r] = k
+                cache["_logs"] = exp, log
+            self._tables = cache["_logs"]
         return self._tables
 
     def field_add(self, a: int) -> list:

@@ -275,6 +275,32 @@ def test_guard_refuses_at_once_with_one_line(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,count",
+    [
+        (["search", "--field", "Fp:3", "--domain-dim", "80", "--codomain-dim", "1"],
+         "3^(1*(3^80-1)/2) candidates"),
+        # the exponent is printed while it fits 64 bits, past that its formula
+        (["search", "--field", "Fp:2", "--domain-dim", "64", "--codomain-dim", "1"],
+         "2^18446744073709551615 candidates"),
+        (["search", "--field", "Fp:2", "--domain-dim", "65", "--codomain-dim", "1"],
+         "2^(1*(2^65-1)/1) candidates"),
+        (["verify-theorem1", "--p", "2", "--domain-dim", "63", "--codomain-dim", "1"],
+         "2^9223372036854775808 tables"),
+        (["verify-theorem1", "--p", "2", "--domain-dim", "64", "--codomain-dim", "1"],
+         "2^(1*2^64) tables"),
+    ],
+    ids=["search-Z3-80-1", "search-Z2-64-1", "search-Z2-65-1", "verify-Z2-63-1",
+         "verify-Z2-64-1"],
+)
+def test_refusal_names_the_count_or_its_formula(capsys, argv, count):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: {count} exceed the limit 100000000\n"
+
+
+@pytest.mark.parametrize(
     "body,du,prop,code",
     [
         ({"kind": "ratio"}, 2, "homogeneous", 3),

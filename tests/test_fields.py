@@ -877,7 +877,7 @@ def _membership_cases(field):
 
     cases = [
         ("float", (element(1.0), one), False, FieldMismatch),
-        ("list vector", [one, one], False, None),
+        ("list vector", [one, one], False, FieldMismatch),
         ("wrong length", (one, one, one), False, DimensionMismatch),
         # bool is an int: a residue 0 or 1, not a Fraction
         ("bool", (element(True), one), bool(p), None if p else FieldMismatch),
@@ -898,7 +898,8 @@ def test_membership_verdicts_and_messages(field):
     for label, v, verdict, error in _membership_cases(field):
         assert space.contains(v) is verdict, label
         # the first coordinate is the bad one, unless the vector's shape is
-        assert field.contains(v[0]) is (verdict or error is not FieldMismatch), label
+        bad_first = error is FieldMismatch and isinstance(v, tuple)
+        assert field.contains(v[0]) is (verdict or not bad_first), label
         if error is None:
             space._check(v)
             continue
@@ -942,6 +943,28 @@ def test_rank_rows_match_field_operations(field):
         for b, eb in enumerate(elems):
             assert elems[add[b]] == field.add(ea, eb)
             assert elems[mul[b]] == field.mul(ea, eb)
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [("Fq:2:1,1,0,1", "Fq:2:1,0,1,1"), ("Fq:3:1,0,1", "Fq:3:2,1,1")],
+    ids=["GF8", "GF9"],
+)
+def test_log_rows_are_kept_per_field(monkeypatch, moduli):
+    # two fields of one order, under different moduli, rows built alternately
+    pair = [parse_field(m) for m in moduli]
+    q = pair[0].order
+    for a in range(q):
+        for field in pair:
+            ea = field.element_from_rank(a)
+            want = [field.rank(field.mul(ea, eb)) for eb in field.elements()]
+            assert SpaceRows(VectorSpace(field, 1)).field_mul(a) == want
+    calls = []
+    for field in pair:  # the rows of a second space come from its field object
+        monkeypatch.setattr(field, "mul", lambda *args: calls.append(args))
+        rows = SpaceRows(VectorSpace(field, 2))
+        assert len(rows.exp) == q - 1 and len(rows.act(q - 1)) == q**2
+    assert calls == []
 
 
 # text encoding --------------------------------------------------------------
