@@ -430,14 +430,13 @@ def _has_integer_root(b: int, c: int, e: int) -> bool:
     As s = isqrt(b^2 - 3c) <= r < s + 1, the maximum lies in (lo, lo + 1]
     for lo = (-b - s - 1) // 3 and the minimum in [hi, hi + 1) for
     hi = (s - b) // 3: g rises on ..lo, falls on lo+1..hi and rises on
-    hi+1.. .  Every root lies in [-bound, bound] (Cauchy's bound)."""
+    hi+1.. .  Every root lies in [-bound, bound] (Cauchy's bound).  Each
+    piece is nonempty: 1 <= s <= sqrt(M^2 + 3M) <= 2M for M = bound - 1."""
     def g(y):
         return ((y + b) * y + c) * y + e
 
     def root_in(lo, hi, sign):
         # smallest y in lo..hi with sign*g(y) >= 0; a root iff g(y) == 0
-        if lo > hi:
-            return False
         while lo < hi:
             mid = (lo + hi) // 2
             if sign * g(mid) < 0:

@@ -132,6 +132,9 @@ class TableMap(VectorMap):
         self.domain = domain
         self.codomain = codomain
         self.entries = dict(entries)
+        if len(self.entries) > domain.size:  # a short table names what it misses
+            q = domain.field.order
+            raise SpecFormatError(f"table must list all {q}^{domain.dim} domain vectors")
         for v in domain.vectors():
             if v not in self.entries:
                 raise SpecFormatError(f"table misses domain vector {domain.encode(v)}")
@@ -144,9 +147,9 @@ class TableMap(VectorMap):
 
 
 class OrbitTableMap(VectorMap):
-    """One codomain value per domain orbit, values[rep] for the orbit's
-    canonical representative; phi(scale*rep) = scale*values[rep].  The
-    (q^du - 1)/(q - 1) keys, each a representative, cover every orbit once."""
+    """One value per domain orbit: phi(scale*rep) = scale*values[rep] for the
+    orbit's canonical representative rep.  Checked in turn: the key count,
+    the keys against domain.orbits() as dict keys compare (==), each value."""
 
     def __init__(self, domain: VectorSpace, codomain: VectorSpace, values: dict):
         if domain.field != codomain.field:
@@ -157,9 +160,9 @@ class OrbitTableMap(VectorMap):
         n = (domain.size - 1) // (domain.field.order - 1)
         if len(values) != n:
             raise SpecFormatError(f"expected {n} orbit values, got {len(values)}")
-        for rep, val in values.items():
-            if not (domain.contains(rep) and domain.is_representative(rep)):
-                raise SpecFormatError("orbit table must cover every orbit exactly once")
+        if values.keys() != set(domain.orbits()):
+            raise SpecFormatError("orbit table must cover every orbit exactly once")
+        for val in values.values():
             if not codomain.contains(val):
                 raise SpecFormatError(f"orbit value {val!r} off-space")
 

@@ -5,10 +5,10 @@ lexicographic coordinate-rank order with coordinate 0 slowest.  Nonzero
 vectors fall into scalar orbits {lam * v : lam != 0} of q - 1 members each;
 each orbit has a unique canonical representative whose first nonzero
 coordinate is 1, which is what makes orbit-table maps, keyed by those
-representatives, well-defined; orbits() lists them.  SpaceRows gives a
-finite space's addition and scalar action on vector ranks, and its field's
-addition and multiplication on element ranks, for the exhaustive checkers
-and the search's index tables.
+representatives, well-defined; orbits() lists them, built once per space
+and kept.  SpaceRows gives a finite space's addition and scalar action on
+vector ranks, and its field's addition and multiplication on element
+ranks, for the exhaustive checkers and the search's index tables.
 """
 
 from __future__ import annotations
@@ -131,17 +131,18 @@ class VectorSpace:
                 return self.field.scale(self.field.inv(c), v), c
         raise ZeroVector("the zero vector has no orbit representative")
 
-    def is_representative(self, v) -> bool:
-        """Whether v's first nonzero coordinate is 1 (false for zero)."""
-        zero = self.field.zero
-        return next((c for c in v if c != zero), None) == self.field.one
-
     def orbits(self) -> list:
-        """The canonical representative of every orbit, in vector-enumeration
-        order."""
-        if not self.is_finite:
-            raise InfiniteFieldError(f"{self} has infinitely many orbits")
-        return [v for v in self.vectors() if self.is_representative(v)]
+        """The vectors whose first nonzero coordinate is 1, one per orbit, in
+        vector-enumeration order: built on the first call and kept, as zero
+        is, so every call returns the same list, which callers must not change."""
+        cache = vars(self)
+        if "_reps" not in cache:
+            if not self.is_finite:
+                raise InfiniteFieldError(f"{self} has infinitely many orbits")
+            zero, one = self.field.zero, self.field.one
+            cache["_reps"] = [v for v in self.vectors()
+                              if next((c for c in v if c != zero), None) == one]
+        return cache["_reps"]
 
     # text encoding: "(e0,e1,...)" ---------------------------------------
 
@@ -208,7 +209,6 @@ class SpaceRows:
         self.q, self.p, self.dim = field.order, field.characteristic, space.dim
         self.digits = getattr(field, "degree", 1)
         self._cycle = list(range(self.p)) * 2
-        self._tables = None
         self._adds = {}
 
     @property
@@ -221,25 +221,23 @@ class SpaceRows:
 
     def _logs(self):
         """(exp, log), built once per field object and kept on it."""
-        if self._tables is None:
-            cache = vars(self.field)
-            if "_logs" not in cache:
-                field, q, one = self.field, self.q, self.field.one
-                for g in range(1, q):
-                    gen, x, exp = field.element_from_rank(g), one, []
-                    while True:
-                        exp.append(field.rank(x))
-                        x = field.mul(x, gen)
-                        if x == one:
-                            break
-                    if len(exp) == q - 1:
+        cache = vars(self.field)
+        if "_logs" not in cache:
+            field, q, one = self.field, self.q, self.field.one
+            for g in range(1, q):
+                gen, x, exp = field.element_from_rank(g), one, []
+                while True:
+                    exp.append(field.rank(x))
+                    x = field.mul(x, gen)
+                    if x == one:
                         break
-                log = [0] * q
-                for k, r in enumerate(exp):
-                    log[r] = k
-                cache["_logs"] = exp, log
-            self._tables = cache["_logs"]
-        return self._tables
+                if len(exp) == q - 1:
+                    break
+            log = [0] * q
+            for k, r in enumerate(exp):
+                log[r] = k
+            cache["_logs"] = exp, log
+        return cache["_logs"]
 
     def field_add(self, a: int) -> list:
         row = self._adds.get(a)

@@ -16,15 +16,29 @@ from addhom.errors import (
     CharacteristicMismatch,
     CharacteristicTwo,
     DimensionMismatch,
+    DivisionByZero,
     DomainMismatch,
     FieldMismatch,
     InfiniteDomainExhaustive,
+    InfiniteFieldError,
+    NonMonicModulus,
     NotAnExtension,
     SearchSpaceTooLarge,
     SpecFormatError,
+    UnsupportedDegree,
+    UnsupportedTower,
     ZeroDenominator,
 )
-from addhom.fields import ExtensionField, PrimeField, Rationals, gf, parse_field
+from addhom.fields import (
+    ExtensionField,
+    Field,
+    PrimeField,
+    Rationals,
+    find_irreducible,
+    gf,
+    is_irreducible,
+    parse_field,
+)
 from addhom.maps import (
     EXHAUSTIVE,
     IndicatorMap,
@@ -51,8 +65,13 @@ from addhom.maps import (
     rational_proof_trace,
     report_to_dict,
 )
-from addhom.search import SearchConfig, _reverify, search_homogeneous_nonadditive
-from addhom.spaces import SpaceRows, VectorSpace
+from addhom.search import (
+    SearchConfig,
+    _reverify,
+    count_linear,
+    search_homogeneous_nonadditive,
+)
+from addhom.spaces import VectorSpace
 
 Q = Rationals()
 Z2 = PrimeField(2)
@@ -352,6 +371,43 @@ def test_orbit_table_value_count_checked_before_enumeration():
     assert time.perf_counter() - start < 1.0
 
 
+def test_orbit_table_count_checked_before_enumeration():
+    # the library twin of the decoder test above: 2^40 - 1 orbits, one key
+    start = time.perf_counter()
+    with pytest.raises(SpecFormatError,
+                       match="^expected 1099511627775 orbit values, got 1$"):
+        OrbitTableMap(VectorSpace(Z2, 40), VectorSpace(Z2, 1), {(0,) * 39 + (1,): (0,)})
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)],
+                         ids=["bad-key-last", "bad-key-first"])
+def test_orbit_table_reports_a_bad_key_before_an_off_space_value(order):
+    # (1, 2) is no Z_2 representative and (5,) no Z_2 value: the key error
+    # wins whichever of the two the dict lists first
+    pairs = [((0, 1), (0,)), ((1, 0), (5,)), ((1, 2), (0,))]
+    values = dict(pairs[i] for i in order)
+    with pytest.raises(SpecFormatError,
+                       match="^orbit table must cover every orbit exactly once$"):
+        OrbitTableMap(VectorSpace(Z2, 2), VectorSpace(Z2, 1), values)
+
+
+def test_orbit_table_key_equal_to_a_representative_names_it():
+    dom, cod = VectorSpace(Z2, 2), VectorSpace(Z2, 1)
+    by_int = OrbitTableMap(dom, cod, {(0, 1): (1,), (1, 0): (1,), (1, 1): (0,)})
+    by_float = OrbitTableMap(dom, cod, {(0, 1): (1,), (1.0, 0): (1,), (1, 1): (0,)})
+    assert [by_float.evaluate(v) for v in dom.vectors()] == [
+        by_int.evaluate(v) for v in dom.vectors()]
+    assert map_to_json(by_float).encode() == map_to_json(by_int).encode()
+
+
+def test_table_map_refuses_an_entry_outside_its_domain():
+    space = VectorSpace(Z2, 1)
+    with pytest.raises(SpecFormatError,
+                       match=r"^table must list all 2\^1 domain vectors$"):
+        TableMap(space, space, {(0,): (0,), (1,): (1,), (7,): (1,)})
+
+
 def test_identity_table_map_is_linear():
     space = VectorSpace(Z3, 1)
     m = TableMap(space, space, {v: v for v in space.vectors()})
@@ -649,35 +705,6 @@ def test_rank_scans_check_each_value(prop, value, error, at):
         _unmemoized_check(m, prop, EXHAUSTIVE)
 
 
-@pytest.mark.parametrize(
-    "check,row,at",
-    [(check_additive, "add", 0), (check_homogeneous, "act", 1)],
-    ids=["additive", "homogeneous"],
-)
-def test_rank_scans_raise_when_rank_rows_disagree_with_the_field(
-    monkeypatch, check, row, at
-):
-    # phi(v) = (v_0^2,) on Z_3^2 is neither additive nor homogeneous.  Entry
-    # 3 of SpaceRows.add(0) or .act(1) set from 3 to 1 makes the pair (v_0,
-    # v_3), or (1, v_3), fail on ranks before the first real failure; that
-    # pair holds on field elements, so the scan must raise, not pass phi
-    space = VectorSpace(Z3, 2)
-    m = TableMap(space, VectorSpace(Z3, 1),
-                 {v: (v[0] * v[0] % 3,) for v in space.vectors()})
-    assert check(m, EXHAUSTIVE).verdict == "violated"
-    build = getattr(SpaceRows, row)
-
-    def corrupted(self, i):
-        out = list(build(self, i))
-        if i == at:
-            out[3] = 1
-        return out
-
-    monkeypatch.setattr(SpaceRows, row, corrupted)
-    with pytest.raises(AssertionError):
-        check(m, EXHAUSTIVE)
-
-
 @pytest.mark.parametrize("check", [check_additive, check_homogeneous])
 def test_rank_scan_of_a_million_pairs_is_fast_and_small(check):
     # 1009^2 pairs; a scan that kept every field row would hold 1009 rows
@@ -935,3 +962,44 @@ def test_spec_decoder_checks_right_sized_specs(field, du, body, message):
 def test_map_constructors_refuse_bad_parts(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: Q.inv(Fraction(0)), DivisionByZero, r"^1/0 in Q$"),
+        (lambda: is_irreducible(Z3, (1,)), SpecFormatError,
+         "^constant polynomial has no irreducibility$"),
+        (lambda: is_irreducible(Z3, (1, 2)), NonMonicModulus,
+         "^irreducibility is defined here for monic polynomials$"),
+        (lambda: is_irreducible(GF4, (GF4.one, GF4.one, GF4.one)), UnsupportedTower,
+         "^irreducibility base must be Q or Z_p$"),
+        (lambda: find_irreducible(Q, 2), UnsupportedTower,
+         "^find_irreducible needs a prime base field$"),
+        (lambda: find_irreducible(Z3, 1), UnsupportedDegree,
+         "^extension degree must be >= 2$"),
+        (lambda: ExtensionField(Field(), (1, 0, 1)), UnsupportedTower,
+         "^extension base must be Q or Z_p$"),
+        (lambda: QS2.rank(QS2.one), InfiniteFieldError,
+         r"^Qext:-2,0,1 has no element rank$"),
+        (lambda: rational_proof_trace(build_ratio_map(Q), 1, 2, (frac(1),)),
+         DomainMismatch, r"^\(Fraction\(1, 1\),\) not in Q\^2$"),
+        (lambda: map_to_dict(BadValueMap((0, 0), (0, 0))), SpecFormatError,
+         "^unserializable map BadValueMap$"),
+        (lambda: count_linear(Q, 1, 1), InfiniteFieldError,
+         "^linear-map count needs a finite field$"),
+        (lambda: VectorSpace(Z2, 0), DimensionMismatch, "^dimension must be >= 1$"),
+        (lambda: VectorSpace(Q, 2).size, InfiniteFieldError, r"^Q\^2 is infinite$"),
+        (lambda: VectorSpace(Q, 2).orbits(), InfiniteFieldError,
+         r"^Q\^2 has infinitely many orbits$"),
+    ],
+    ids=["q-inverse-of-zero", "irreducible-constant", "irreducible-non-monic",
+         "irreducible-over-extension", "find-irreducible-over-q",
+         "find-irreducible-degree-1", "extension-of-a-bare-field", "rank-over-q-ext",
+         "trace-off-domain", "unserializable-map", "count-linear-over-q",
+         "dimension-0", "size-over-q", "orbits-over-q"],
+)
+def test_refusals_name_their_input(call, error, message):
+    # raise lines no other test reaches, each with its class and message
+    with pytest.raises(error, match=message):
+        call()

@@ -421,11 +421,11 @@ def test_constraint_lists_match_table_oracles(field, du, dv):
         )
 
 
-def _linear_index_tables(monkeypatch, field, du, dv, fault=None):
+def _linear_index_tables(monkeypatch, field, du, dv):
     """(orbit search result, table scan report, the index tables the search
     counts as additive, those the scan finds additive and homogeneous): the
     tables as sets of tuples of codomain ranks, recorded as each engine's
-    own tests pass them.  fault replaces is_additive in the search only."""
+    own tests pass them."""
     cls = search._IndexTables
     is_additive, is_homogeneous = cls.is_additive, cls.is_homogeneous
     reached = [set(), set()]
@@ -438,7 +438,7 @@ def _linear_index_tables(monkeypatch, field, du, dv, fault=None):
             return False
         return recorded
 
-    monkeypatch.setattr(cls, "is_additive", recording(fault or is_additive, reached[0]))
+    monkeypatch.setattr(cls, "is_additive", recording(is_additive, reached[0]))
     result = search_homogeneous_nonadditive(SearchConfig(field, du, dv))
     monkeypatch.setattr(cls, "is_additive", is_additive)
     monkeypatch.setattr(cls, "is_homogeneous", recording(is_homogeneous, reached[1]))
@@ -459,33 +459,6 @@ def test_both_engines_reach_the_same_linear_maps(monkeypatch, field, du, dv, lin
     _, _, by_search, by_scan = _linear_index_tables(monkeypatch, field, du, dv)
     assert len(by_search) == linear == count_linear(field, du, dv)
     assert by_search == by_scan
-
-
-def test_only_the_cross_engine_check_catches_a_swapped_linear_map(monkeypatch):
-    # the search takes its last linear map for non-additive and its last
-    # non-additive one for additive: every count and the first witness stay
-    field, du, dv = Z3, 2, 1
-    tables = search._IndexTables(VectorSpace(field, du), VectorSpace(field, dv), True)
-    walked = [tuple(phi) for phi in
-              tables.walk(len(tables.reps), tables.phi_from_assignment)]
-    additive = [phi for phi in walked if tables.is_additive(phi)]
-    nonadditive = [phi for phi in walked if phi not in additive]
-    linear, swapped = additive[-1], nonadditive[-1]
-    assert walked.index(linear) > walked.index(nonadditive[0])
-    is_additive = search._IndexTables.is_additive
-
-    def faulty(self, phi):
-        return tuple(phi) == swapped or (tuple(phi) != linear and is_additive(self, phi))
-
-    clean = search_homogeneous_nonadditive(SearchConfig(field, du, dv))
-    # every closed form and re-verification passes under the fault ...
-    result, report, by_search, by_scan = _linear_index_tables(
-        monkeypatch, field, du, dv, fault=faulty)
-    assert result.to_dict() == clean.to_dict()
-    assert report.additive_count - report.additive_nonhomogeneous_count == 9
-    assert len(by_search) == len(by_scan) == 9
-    # ... and only the set comparison sees the swap
-    assert by_search ^ by_scan == {linear, swapped}
 
 
 def test_index_tables_hold_basis_constraints_only():

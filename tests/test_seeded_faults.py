@@ -11,10 +11,14 @@ from fractions import Fraction
 import pytest
 
 import test_fields
+import test_maps
 import test_search
+import test_spaces
 from addhom import fields, maps, search, spaces
 from addhom.fields import ExtensionField, Rationals, parse_field
+from addhom.maps import EXHAUSTIVE, TableMap, check_additive, check_homogeneous
 from addhom.search import SearchConfig, scan_additive_tables
+from addhom.spaces import SpaceRows, VectorSpace
 
 
 def _mutated(func, old: str, new: str):
@@ -106,6 +110,73 @@ def _log_rows_per_field_order(mp):
         spaces.SpaceRows._logs, "vars(self.field)", "_by_order.setdefault(self.q, {})"))
 
 
+def _search_swaps_a_linear_map(mp):
+    # the search takes its last linear map for non-additive and its last
+    # non-additive one for additive; the table scan, whose tables have no
+    # orbit tables (no reps), keeps the true test
+    field, du, dv = test_search.Z3, 2, 1
+    tables = search._IndexTables(VectorSpace(field, du), VectorSpace(field, dv), True)
+    walked = [tuple(phi) for phi in
+              tables.walk(len(tables.reps), tables.phi_from_assignment)]
+    additive = [phi for phi in walked if tables.is_additive(phi)]
+    nonadditive = [phi for phi in walked if phi not in additive]
+    linear, swapped = additive[-1], nonadditive[-1]
+    assert walked.index(linear) > walked.index(nonadditive[0])
+    is_additive = search._IndexTables.is_additive
+
+    def faulty(self, phi):
+        if not hasattr(self, "reps"):
+            return is_additive(self, phi)
+        return tuple(phi) == swapped or (tuple(phi) != linear and is_additive(self, phi))
+
+    clean = search.search_homogeneous_nonadditive(SearchConfig(field, du, dv))
+    mp.setattr(search._IndexTables, "is_additive", faulty)
+    # every count, closed form and re-verification passes under the fault ...
+    result, report, by_search, by_scan = test_search._linear_index_tables(
+        mp, field, du, dv)
+    assert result.to_dict() == clean.to_dict()
+    assert report.additive_count - report.additive_nonhomogeneous_count == 9
+    assert len(by_search) == len(by_scan) == 9
+    # ... and only the set comparison sees the swap
+    assert by_search ^ by_scan == {linear, swapped}
+
+
+# phi(v) = (v_0^2,) on Z_3^2 is neither additive nor homogeneous
+_SQUARE_DOMAIN = VectorSpace(test_search.Z3, 2)
+SQUARE = TableMap(_SQUARE_DOMAIN, VectorSpace(test_search.Z3, 1),
+                  {v: (v[0] * v[0] % 3,) for v in _SQUARE_DOMAIN.vectors()})
+
+
+def _rank_row_entry_wrong(check, row, at):
+    # Entry 3 of SpaceRows.add(0) or .act(1) set from 3 to 1 makes the pair
+    # (v_0, v_3), or (1, v_3), fail on ranks before the first real failure;
+    # that pair holds on field elements, so the scan must raise, not pass phi
+    def fault(mp):
+        assert check(SQUARE, EXHAUSTIVE).verdict == "violated"
+        build = getattr(SpaceRows, row)
+
+        def corrupted(self, i):
+            out = list(build(self, i))
+            if i == at:
+                out[3] = 1
+            return out
+
+        mp.setattr(SpaceRows, row, corrupted)
+    return fault
+
+
+def _orbit_keys_unchecked(mp):
+    # the orbit table's key comparison dropped, its count check left alone
+    mp.setattr(maps.OrbitTableMap, "__init__", _mutated(
+        maps.OrbitTableMap.__init__, "values.keys() != set(domain.orbits())", "False"))
+
+
+def _orbits_kept_per_field(mp):
+    # the representatives kept on the field, shared by its spaces of every dimension
+    mp.setattr(spaces.VectorSpace, "orbits", _mutated(
+        spaces.VectorSpace.orbits, "vars(self)", "vars(self.field)"))
+
+
 FAULTS = {  # fault: (seeded fault, its catcher, its parameters[, match])
     "ratio-sum-as-difference": (
         _ratio_sum_as_difference,
@@ -175,6 +246,32 @@ FAULTS = {  # fault: (seeded fault, its catcher, its parameters[, match])
         _log_rows_per_field_order,
         test_fields.test_log_rows_are_kept_per_field,
         {"moduli": ("Fq:2:1,1,0,1", "Fq:2:1,0,1,1")},
+    ),
+    "search-swaps-a-linear-map": (
+        _search_swaps_a_linear_map,
+        test_search.test_both_engines_reach_the_same_linear_maps,
+        {"field": test_search.Z3, "du": 2, "dv": 1, "linear": 9},
+    ),
+    "rank-row-add-entry-wrong": (
+        _rank_row_entry_wrong(check_additive, "add", 0),
+        check_additive,
+        {"m": SQUARE, "strategy": EXHAUSTIVE},
+    ),
+    "rank-row-act-entry-wrong": (
+        _rank_row_entry_wrong(check_homogeneous, "act", 1),
+        check_homogeneous,
+        {"m": SQUARE, "strategy": EXHAUSTIVE},
+    ),
+    "orbit-keys-unchecked": (
+        _orbit_keys_unchecked,
+        test_maps.test_orbit_table_reports_a_bad_key_before_an_off_space_value,
+        {"order": (0, 1, 2)},
+        "off-space",
+    ),
+    "orbits-kept-per-field": (
+        _orbits_kept_per_field,
+        test_spaces.test_spaces_never_share_an_orbit_list,
+        {},
     ),
 }
 

@@ -166,6 +166,27 @@ def test_dim1_single_orbit(field):
     assert orbits[0] == (field.one,)
 
 
+def test_orbits_are_listed_once_per_space(monkeypatch):
+    space = VectorSpace(Z3, 2)
+    first = space.orbits()
+    calls = []
+    vectors = VectorSpace.vectors
+    monkeypatch.setattr(VectorSpace, "vectors",
+                        lambda self: calls.append(self) or vectors(self))
+    assert space.orbits() is first
+    assert calls == []
+
+
+def test_spaces_never_share_an_orbit_list():
+    # a list kept per field would hand Z_2^2's representatives to Z_2^3
+    field = PrimeField(2)
+    plane, twin = VectorSpace(field, 2), VectorSpace(field, 2)
+    cube = VectorSpace(field, 3)
+    assert plane.orbits() == twin.orbits() == [(0, 1), (1, 0), (1, 1)]
+    assert plane.orbits() is not twin.orbits()
+    assert cube.orbits() == list(cube.vectors())[1:]  # over Z_2: every v != 0
+
+
 ORBIT_SPACES = [
     (Z2, 2), (Z2, 3), (Z2, 4), (Z3, 2), (Z3, 3), (Z5, 2), (GF4, 2), (gf(3, 2), 2),
 ]
