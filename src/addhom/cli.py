@@ -245,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--property", choices=["additive", "homogeneous", "linear"], required=True
     )
     p_check.add_argument("--strategy", choices=["exhaustive", "sampled"])
-    p_check.add_argument("--seed", type=int, default=24001)
-    p_check.add_argument("--samples", type=_nonnegative_int, default=200)
+    p_check.add_argument("--seed", type=int, default=Sampled.seed)
+    p_check.add_argument("--samples", type=_nonnegative_int, default=Sampled.samples)
     p_check.add_argument("--format", choices=["text", "json"], default="text")
     p_check.set_defaults(func=_cmd_check)
 

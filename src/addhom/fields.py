@@ -11,9 +11,9 @@ values so equality and hashing just work:
 
 An extension field's arithmetic, membership checks, ranks and draws work
 on the coefficient tuple in one call, with no base-field call per
-coefficient (`+`/`-` over Q, `% p` inline over Z_p), and scale(lam,
-coords) scales a whole vector in one call, over Q(a) clearing lam to
-integer numerators once.
+coefficient (`+`/`-` over Q, `% p` inline over Z_p).  scale(lam, coords)
+scales a whole vector in one call, over Q(a) clearing lam to integer
+numerators once, and mul is the scale of one coordinate.
 
 Polynomial arithmetic runs on Python ints.  Over Q an extension operand
 is cleared to integer numerators over one common denominator (numerators);
@@ -104,7 +104,7 @@ class Field:
     mod p for char p); and random_element(rng) for the sampled checking
     strategy, deterministic per rng: rationals draw the numerator from
     [-9, 9] and the denominator from [1, 9].  Finite fields also give rank
-    and element_from_rank."""
+    and element_from_rank.  div is a * inv(b); Q and Q(a) divide directly."""
 
     characteristic: int
     order: int | None  # None for infinite fields
@@ -576,14 +576,15 @@ class ExtensionField(Field):
     The generator is the class of x.
 
     The modulus is kept as integer numerators M over their common
-    denominator L (L = 1 over Z_p).  mul forms the schoolbook product of
-    integer numerators and folds it through M.  div over Q builds the
-    integer columns b * x^j mod m with the same fold and solves b * u = a
-    by fraction-free (Bareiss) elimination, and inv is div of one; only the
-    final coefficients are made Fractions.  mul_numerators and
-    div_numerators are the product and that one solver on operands already
-    cleared, for callers that hold integer numerators.  Over Z_p, inv runs
-    extended Euclid on residue lists and div multiplies by the inverse.
+    denominator L (L = 1 over Z_p).  scale forms the schoolbook products
+    of integer numerators and folds them through M; mul is scale of one
+    coordinate.  div over Q builds the integer columns b * x^j mod m with
+    the same fold and solves b * u = a by fraction-free (Bareiss)
+    elimination, and inv is div of one; only the final coefficients are
+    made Fractions.  mul_numerators and div_numerators are the product and
+    that one solver on operands already cleared, for callers that hold
+    integer numerators.  Over Z_p, inv runs extended Euclid on residue
+    lists and div is Field.div.
     """
 
     def __init__(self, base: Field, modulus):
@@ -629,24 +630,13 @@ class ExtensionField(Field):
         return tuple([-x % p for x in a]) if p else tuple(map(operator.neg, a))
 
     def mul(self, a, b):
-        """Schoolbook product of the integer numerators, folded through the
-        modulus (_mulmod); one reduced Fraction per coefficient over Q, one
-        residue over Z_p."""
-        p = self.characteristic
-        if p:
-            den = 1
-        else:
-            a, da = numerators(a)
-            b, db = numerators(b)
-            den = da * db
-        prod, den = _mulmod(a, b, self._numer, self._denom, p, den)
-        if p:
-            return tuple([n % p for n in prod])
-        return tuple([Fraction(n, den) for n in prod])
+        return self.scale(a, (b,))[0]
 
     def scale(self, lam, coords):
-        """mul(lam, c) for each c in coords, with lam cleared to integer
-        numerators once for the whole vector over Q."""
+        """lam * c for each c in coords, lam cleared to integer numerators
+        once over Q: schoolbook products folded through the modulus
+        (_mulmod), one reduced Fraction per coefficient over Q, one residue
+        over Z_p.  mul is scale of one coordinate."""
         p, low, lead = self.characteristic, self._numer, self._denom
         if p:
             return tuple([tuple([n % p for n in _mulmod(lam, c, low, 1, p)[0]])
@@ -676,11 +666,10 @@ class ExtensionField(Field):
         return _mulmod(a, b, self._numer, self._denom, 0)
 
     def div(self, a, b):
-        """a / b: over Z_p, a * b^-1; over Q, div_numerators of the
+        """a / b: over Z_p, Field.div; over Q, div_numerators of the
         integer numerators of a and b."""
-        p = self.characteristic
-        if p:
-            return self.mul(a, self.inv(b))
+        if self.characteristic:
+            return super().div(a, b)
         if not any(b):
             raise DivisionByZero(f"1/0 in {self.descriptor()}")
         return self.div_numerators(*numerators(a), *numerators(b))

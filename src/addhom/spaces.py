@@ -26,15 +26,15 @@ from .errors import (
 from .fields import Field
 
 
-def split_top_level(text: str, sep: str = ",") -> list[str]:
-    """Split on sep outside [...] groups (extension elements contain commas)."""
+def split_top_level(text: str) -> list[str]:
+    """Split on commas outside [...] groups (extension elements contain commas)."""
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
@@ -66,12 +66,11 @@ class VectorSpace:
             raise InfiniteFieldError(f"{self} is infinite")
         return self.field.order ** self.dim
 
-    def _check(self, v):  # raises on what contains rejects
-        if not isinstance(v, tuple):
-            raise FieldMismatch(f"vector {v!r} not over {self.field}")
-        if len(v) != self.dim:
-            raise DimensionMismatch(f"expected dimension {self.dim}, got {len(v)}")
-        if not all(map(self.field.contains, v)):
+    def _check(self, v):
+        """Raise DimensionMismatch or FieldMismatch on what contains rejects."""
+        if not self.contains(v):
+            if isinstance(v, tuple) and len(v) != self.dim:
+                raise DimensionMismatch(f"expected dimension {self.dim}, got {len(v)}")
             raise FieldMismatch(f"vector {v!r} not over {self.field}")
 
     def contains(self, v) -> bool:

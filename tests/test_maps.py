@@ -362,6 +362,18 @@ def _forbidden_draw(rng):
     raise AssertionError("a refused sampled check drew a vector")
 
 
+def test_sampled_guard_admits_its_real_limit():
+    # resolved only, so nothing is drawn: 10^8 samples pass, 10^8 + 1 do not
+    m, limit = build_ratio_map(Q), maps.DEFAULT_MAX_CANDIDATES
+    outcomes = []
+    for samples in (limit, limit + 1):
+        try:
+            outcomes.append(maps._resolve_strategy(m, Sampled(samples=samples), 2).samples)
+        except SearchSpaceTooLarge as exc:
+            outcomes.append(str(exc))
+    assert outcomes == [limit, f"{limit + 1} samples exceed the limit {limit}"]
+
+
 def test_orbit_table_value_count_checked_before_enumeration():
     spec = {"field": "Fp:1000003", "domain_dim": 3, "codomain_dim": 1,
             "map": {"kind": "orbit_table", "values": [["(0,0,1)", "(1)"]]}}

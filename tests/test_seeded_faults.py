@@ -177,6 +177,64 @@ def _orbits_kept_per_field(mp):
         spaces.VectorSpace.orbits, "vars(self)", "vars(self.field)"))
 
 
+def _orbit_powers_shifted(mp):
+    # orbit_of names g^k*rep with the codomain action of g^(k+1)
+    mp.setattr(search._IndexTables, "__init__", _mutated(
+        search._IndexTables.__init__, "for s in exp]", "for s in exp[1:] + exp[:1]]"))
+
+
+def _plan_reversed(mp):
+    # the table scan fills its fixed positions from the top down, before the
+    # positions they are read off; a plan left unsorted is no fault, as the
+    # constraint order already lists each position after the ones it reads.
+    # Its catcher must reach the scan by its module name, as
+    # verify_theorem1_prime does.
+    mp.setattr(search, "scan_additive_tables", _mutated(
+        search.scan_additive_tables, "sorted(fixed.items())",
+        "sorted(fixed.items(), reverse=True)"))
+
+
+def _rank_table_resumes_one_late(mp):
+    # an input whose evaluate raised is tabulated as rank 0, so the next
+    # check resumes one rank late and never evaluates that input
+    extend = maps._RankTable._extend
+
+    def late(self, evaluate, n):
+        try:
+            extend(self, evaluate, n)
+        except Exception:
+            for col in self.cols:
+                col.append(0)
+            raise
+
+    mp.setattr(maps._RankTable, "_extend", late)
+
+
+def _orbit_count_from_all_vectors(mp):
+    # the per-orbit exponent N read as n // (q - 1): the same for q > 2, as
+    # q^du = 1 mod q - 1, but over Z_2 the zero vector counts as an orbit
+    mp.setattr(search, "_guarded_tables", _mutated(
+        search._guarded_tables, "(n - 1) // (q - 1)", "n // (q - 1)"))
+
+
+def _sampled_guard_exclusive(mp):
+    # a sampled check of exactly the limit refused
+    mp.setattr(maps, "_resolve_strategy", _mutated(
+        maps._resolve_strategy, "strategy.samples > limit", "strategy.samples >= limit"))
+
+
+def _gf_scale_without_reduction(mp):
+    # the GF(p^d) product kernel, behind mul and scale, loses its % p
+    mp.setattr(ExtensionField, "scale", _mutated(
+        ExtensionField.scale, "[n % p for n in _mulmod", "[n for n in _mulmod"))
+
+
+def _contains_ignores_length(mp):
+    # vector membership takes a tuple of any length
+    mp.setattr(VectorSpace, "contains", _mutated(
+        VectorSpace.contains, "len(v) == self.dim", "True"))
+
+
 FAULTS = {  # fault: (seeded fault, its catcher, its parameters[, match])
     "ratio-sum-as-difference": (
         _ratio_sum_as_difference,
@@ -272,6 +330,42 @@ FAULTS = {  # fault: (seeded fault, its catcher, its parameters[, match])
         _orbits_kept_per_field,
         test_spaces.test_spaces_never_share_an_orbit_list,
         {},
+    ),
+    "orbit-powers-shifted": (
+        _orbit_powers_shifted,
+        test_search.test_search_matches_orbit_bruteforce,
+        {"field": test_search.Z3, "du": 2, "dv": 1},
+    ),
+    "table-scan-plan-reversed": (
+        _plan_reversed,
+        search.verify_theorem1_prime,
+        {"field": test_search.Z3, "du": 2, "dv": 1},
+        "closed form",
+    ),
+    "rank-table-resumes-one-late": (
+        _rank_table_resumes_one_late,
+        test_maps.test_check_after_a_raising_evaluate_matches_a_fresh_map,
+        {"prop": "additive"},
+    ),
+    "orbit-count-from-all-vectors": (
+        _orbit_count_from_all_vectors,
+        test_search.test_guard_limit_is_inclusive,
+        {},
+    ),
+    "sampled-guard-exclusive": (
+        _sampled_guard_exclusive,
+        test_maps.test_sampled_guard_admits_its_real_limit,
+        {},
+    ),
+    "gf-scale-without-reduction": (
+        _gf_scale_without_reduction,
+        test_fields.test_element_and_vector_kernels_match_base_field_operations,
+        {"field": parse_field("Fq:5:2,0,1")},
+    ),
+    "contains-ignores-length": (
+        _contains_ignores_length,
+        test_fields.test_membership_verdicts_and_messages,
+        {"field": parse_field("Fq:5:2,0,1")},
     ),
 }
 
