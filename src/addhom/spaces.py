@@ -6,9 +6,11 @@ vectors fall into scalar orbits {lam * v : lam != 0} of q - 1 members each;
 each orbit has a unique canonical representative whose first nonzero
 coordinate is 1, which is what makes orbit-table maps, keyed by those
 representatives, well-defined; orbits() lists them, built once per space
-and kept.  SpaceRows gives a finite space's addition and scalar action on
-vector ranks, and its field's addition and multiplication on element
-ranks, for the exhaustive checkers and the search's index tables.
+and kept; orbit_count counts them unlisted.  Callers read a space's
+dimension rule (dim >= 1), size and orbit count off it.  SpaceRows gives
+a finite space's addition and scalar action on vector ranks, and its
+field's addition and multiplication on element ranks, for the exhaustive
+checkers and the search's index tables.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def split_top_level(text: str) -> list[str]:
 
 
 class VectorSpace:
-    """F^dim over a supported field."""
+    """F^dim over a supported field, dim >= 1."""
 
     def __init__(self, field: Field, dim: int):
         if dim < 1:
@@ -65,6 +67,11 @@ class VectorSpace:
         if not self.is_finite:
             raise InfiniteFieldError(f"{self} is infinite")
         return self.field.order ** self.dim
+
+    @property
+    def orbit_count(self) -> int:
+        """(q^dim - 1)/(q - 1) scalar orbits, from size: nothing is listed."""
+        return (self.size - 1) // (self.field.order - 1)
 
     def _check(self, v):
         """Raise DimensionMismatch or FieldMismatch on what contains rejects."""

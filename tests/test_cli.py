@@ -118,7 +118,7 @@ def test_check_refuses_too_many_samples_at_once(tmp_path, capsys):
                          "100000000000")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert err == "error: 100000000000 samples exceed the limit 100000000\n"
+    assert err == "error: 100000000000 samples exceed the limit 500000\n"
 
 
 def test_text_and_json_agree(tmp_path, capsys):

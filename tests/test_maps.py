@@ -346,12 +346,13 @@ def test_sampled_checks_refuse_past_the_limit(monkeypatch):
     for check in (check_additive, check_homogeneous, check_linear):
         with pytest.raises(
             SearchSpaceTooLarge,
-            match=r"^100000000000 samples exceed the limit 100000000$",
+            match=r"^100000000000 samples exceed the limit 500000$",
         ):
             check(m, Sampled(samples=10**11))
     assert time.perf_counter() - start < 1.0
-    # the limit itself still runs, one more sample is refused before any draw
-    monkeypatch.setattr(maps, "DEFAULT_MAX_CANDIDATES", 5)
+    # the limit itself still runs, one more sample is refused before any draw;
+    # the budget is samples * dim * degree, 10 // (2 * 1) = 5 here
+    monkeypatch.setattr(maps, "SAMPLE_BUDGET", 10)
     assert check_homogeneous(m, Sampled(samples=5)).pairs_checked == 12 + 5
     monkeypatch.setattr(m.domain, "random_vector", _forbidden_draw)
     with pytest.raises(SearchSpaceTooLarge, match=r"^6 samples exceed the limit 5$"):
@@ -363,8 +364,9 @@ def _forbidden_draw(rng):
 
 
 def test_sampled_guard_admits_its_real_limit():
-    # resolved only, so nothing is drawn: 10^8 samples pass, 10^8 + 1 do not
-    m, limit = build_ratio_map(Q), maps.DEFAULT_MAX_CANDIDATES
+    # resolved only, so nothing is drawn: over Q^2 the budget 10^6 admits
+    # 5 * 10^5 samples, not 5 * 10^5 + 1
+    m, limit = build_ratio_map(Q), 500000
     outcomes = []
     for samples in (limit, limit + 1):
         try:
@@ -372,6 +374,26 @@ def test_sampled_guard_admits_its_real_limit():
         except SearchSpaceTooLarge as exc:
             outcomes.append(str(exc))
     assert outcomes == [limit, f"{limit + 1} samples exceed the limit {limit}"]
+
+
+def test_sampled_limit_is_the_budget_over_dim_times_degree():
+    # resolved only: each map runs its limit and refuses one more, and the
+    # default 200 samples fit every limit (Q^2 is pinned above)
+    cases = [(build_ratio_map(parse_field("Qext:-2,0,0,1")), 166666),
+             (build_theorem1_counterexample(parse_field("Qext:-2,0,1")), 500000),
+             (build_theorem1_counterexample(gf(2, 8)), 125000)]
+    outcomes = []
+    for m, limit in cases:
+        for samples in (limit, limit + 1):
+            try:
+                outcomes.append(maps._resolve_strategy(m, Sampled(samples=samples), 2))
+            except SearchSpaceTooLarge as exc:
+                outcomes.append(str(exc))
+    assert outcomes == [
+        x for _, limit in cases for x in
+        (Sampled(samples=limit), f"{limit + 1} samples exceed the limit {limit}")
+    ]
+    assert min(limit for _, limit in cases) >= Sampled.samples
 
 
 def test_orbit_table_value_count_checked_before_enumeration():
@@ -849,6 +871,17 @@ def test_table_and_orbit_table_roundtrip():
     m3 = map_from_json(map_to_json(table))
     for v in dom.vectors():
         assert m3.evaluate(v) == table.evaluate(v)
+
+
+def test_orbit_table_specs_at_the_bit_length_bound_decode():
+    # over Z_2 the N = 2^du - 1 orbits have exactly du bits, the tightest
+    # case of the decoder's bit-length pre-check on the orbit count
+    for du in (1, 2, 3, 4):
+        dom, cod = VectorSpace(Z2, du), VectorSpace(Z2, 1)
+        m = OrbitTableMap(dom, cod, {rep: (sum(rep) % 2,) for rep in dom.orbits()})
+        back = map_from_json(map_to_json(m))
+        for v in dom.vectors():
+            assert back.evaluate(v) == m.evaluate(v)
 
 
 def test_klinear_spec_payload():

@@ -506,6 +506,19 @@ def test_guard_limit_is_inclusive():
     assert result.homogeneous_count == 64
 
 
+def test_codomain_sum_guard_admits_its_real_limit():
+    # Z_2 1 -> 6: 2^6 candidates but 2^12 codomain sums, on both sides of
+    # 2^12; plain asserts, so a guard that lets the sums through fails here
+    outcomes = []
+    for limit in (4095, 4096):
+        config = SearchConfig(Z2, 1, 6, mode="count_only", max_candidates=limit)
+        try:
+            outcomes.append(search_homogeneous_nonadditive(config).homogeneous_count)
+        except SearchSpaceTooLarge as exc:
+            outcomes.append(str(exc))
+    assert outcomes == ["2^12 codomain sums exceed the limit 4095", 64]
+
+
 # pruned raw table scan ---------------------------------------------------------------
 
 @pytest.mark.parametrize(

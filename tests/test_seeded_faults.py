@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import test_cli
 import test_fields
 import test_maps
 import test_search
@@ -211,10 +212,29 @@ def _rank_table_resumes_one_late(mp):
 
 
 def _orbit_count_from_all_vectors(mp):
-    # the per-orbit exponent N read as n // (q - 1): the same for q > 2, as
+    # the orbit count N read as q^du // (q - 1): the same for q > 2, as
     # q^du = 1 mod q - 1, but over Z_2 the zero vector counts as an orbit
+    mp.setattr(VectorSpace, "orbit_count", _mutated(
+        VectorSpace.orbit_count.fget, "(self.size - 1)", "self.size"))
+
+
+def _codomain_sums_by_rows(mp):
+    # the codomain sum table guarded by its q^dv rows, not its q^(2*dv) entries
     mp.setattr(search, "_guarded_tables", _mutated(
-        search._guarded_tables, "(n - 1) // (q - 1)", "n // (q - 1)"))
+        search._guarded_tables, "q ** (2 * dv)", "q ** dv"))
+
+
+def _last_free_position_dropped(mp):
+    # the table scan never walks its last free position, which stays 0; its
+    # catcher reaches the scan through the CLI, as verify_theorem1_prime does
+    mp.setattr(search, "scan_additive_tables", _mutated(
+        search.scan_additive_tables, "if k not in fixed]", "if k not in fixed][:-1]"))
+
+
+def _sample_budget_ignores_degree(mp):
+    # a sampled check bounded by samples * dim, as if every field were Q or Z_p
+    mp.setattr(maps, "_resolve_strategy", _mutated(
+        maps._resolve_strategy, 'getattr(m.domain.field, "degree", 1)', "1"))
 
 
 def _sampled_guard_exclusive(mp):
@@ -352,6 +372,22 @@ FAULTS = {  # fault: (seeded fault, its catcher, its parameters[, match])
         test_search.test_guard_limit_is_inclusive,
         {},
     ),
+    "codomain-sums-by-rows": (
+        _codomain_sums_by_rows,
+        test_search.test_codomain_sum_guard_admits_its_real_limit,
+        {},
+    ),
+    "last-free-position-dropped": (
+        _last_free_position_dropped,
+        test_cli.test_verify_theorem1,
+        {},
+        "closed form",
+    ),
+    "sample-budget-ignores-degree": (
+        _sample_budget_ignores_degree,
+        test_maps.test_sampled_limit_is_the_budget_over_dim_times_degree,
+        {},
+    ),
     "sampled-guard-exclusive": (
         _sampled_guard_exclusive,
         test_maps.test_sampled_guard_admits_its_real_limit,
@@ -371,11 +407,12 @@ FAULTS = {  # fault: (seeded fault, its catcher, its parameters[, match])
 
 
 @pytest.mark.parametrize("name", FAULTS)
-def test_seeded_fault_is_caught(name):
+def test_seeded_fault_is_caught(name, tmp_path, capsys):
     fault, catcher, params, *match = FAULTS[name]
     with pytest.MonkeyPatch.context() as mp:
-        if "monkeypatch" in inspect.signature(catcher).parameters:
-            params = dict(params, monkeypatch=mp)
+        fixtures = {"monkeypatch": mp, "tmp_path": tmp_path, "capsys": capsys}
+        wanted = inspect.signature(catcher).parameters
+        params = dict(params, **{k: v for k, v in fixtures.items() if k in wanted})
         fault(mp)
         with pytest.raises(AssertionError, match=match[0] if match else None):
             catcher(**params)
