@@ -18,7 +18,8 @@ constraint set (_IndexTables) built once per call by rank arithmetic, so
 the walk never touches field elements.  The table scan tests homogeneity
 on one row: the primitive element g generates F*, so a map is homogeneous
 iff it fixes 0 and commutes with g.  Only the orbit search builds orbit
-tables.  Counts are exact Python ints, checked against the paper's closed
+tables, from ranks alone: it lists no vector until it emits a map.
+Counts are exact Python ints, checked against the paper's closed
 forms.  Both scans run in one process, in canonical order; the `jobs`
 setting is accepted for compatibility and selects nothing.
 """
@@ -70,24 +71,37 @@ def count_linear(field: Field, du: int, dv: int) -> int:
 
 class _IndexTables:
     """Constraints on a map F^du -> F^dv, phi = its value indices by domain
-    index.  The ranks e in SpaceRows.basis are a Z_p-basis of F^du, so by
+    index, built by arithmetic on ranks, whose base-p digits are the Z_p
+    coefficients (SpaceRows): cadd, the codomain's sum table, is the Z_p
+    sum table multiplied out over the digits, then over the coordinates.
+    The ranks e = p^k in SpaceRows.basis are a Z_p-basis of F^du, so by
     induction on the Z_p coordinates phi is additive iff phi(i + e) = phi(i)
     + phi(e) for every i and e (i = 0 gives phi(0) = 0): sums holds these
-    n*d*du triples (i, e, i + e), read off cadd, the codomain's sum table.
+    n*d*du triples (i, e, i + e), where adding e steps digit k of i mod p.
     With g the primitive element of SpaceRows (1 if q = 2), scales[i]
     indexes g*v_i and gact is g's codomain action; g generates F*, so phi
     is homogeneous iff phi(0) = 0 and gact[phi[i]] = phi[scales[i]] for
     every i.  Both scans build these; only the orbit search (orbits=True)
-    builds the orbit tables: reps (by rank) and rep_vectors, and orbit_of,
-    naming each nonzero g^k*rep by its orbit and the codomain action of g^k.
-    cvecs, the codomain vectors, are decoded when a map is emitted."""
+    builds the orbit tables: reps, each orbit's least rank, which is its
+    canonical representative (coordinate 0 is the most significant digit
+    and a leading coordinate 1 has field rank 1), so they come in
+    domain.orbits() order with no vector listed; and orbit_of, naming each
+    nonzero g^k*rep by its orbit and the codomain action of g^k (gact
+    iterated k times).  cvecs, the codomain vectors, and the
+    representatives are read when a map is emitted."""
 
     def __init__(self, domain: VectorSpace, codomain: VectorSpace, orbits=False):
         self.domain, self.codomain = domain, codomain
         n, q = domain.size, domain.field.order
         drows, crows = SpaceRows(domain), SpaceRows(codomain)
-        # the sum table, one coordinate at a time, the new one slowest
-        frows = [crows.field_add(a) for a in range(q)]
+        p = drows.p
+        # the field's sum table, one Z_p digit at a time, then the codomain's,
+        # one coordinate at a time, the new one slowest
+        zp = [[(a + b) % p for b in range(p)] for a in range(p)]
+        frows, size = zp, p
+        for _ in range(drows.digits - 1):
+            frows = [[x * size + y for x in z for y in row] for z in zp for row in frows]
+            size *= p
         cadd, size = frows, q
         for _ in range(codomain.dim - 1):
             cadd = [[x * size + y for x in f for y in row] for f in frows for row in cadd]
@@ -96,18 +110,29 @@ class _IndexTables:
         exp = crows.exp  # exp[k] = rank(g^k)
         g = exp[1 % (q - 1)]  # exp[0] = 1 is g when q = 2
         self.scales, self.gact = drows.act(g), crows.act(g)
-        basis = [(e, drows.add(e)) for e in drows.basis]
+        basis = []
+        for e in drows.basis:  # e = p^k steps digit k of i mod p
+            add = []
+            for b in range(0, n, p * e):  # the ranks that agree with b from digit k up
+                add += range(b + e, b + p * e)  # digit k below p - 1: i + e
+                add += range(b, b + e)  # digit k = p - 1: i + e - p * e
+            basis.append((e, add))
         self.sums = [(i, e, add[i]) for i in range(n) for e, add in basis]
         if orbits:
-            self.rep_vectors = domain.orbits()
-            self.reps = [domain.rank(v) for v in self.rep_vectors]
-            cpow = [crows.act(s) for s in exp]  # codomain action of g^k
-            orbit_of = [None] * n
-            for o, i in enumerate(self.reps):
-                for act in cpow:
-                    orbit_of[i] = (o, act)
-                    i = self.scales[i]
-            self.orbit_of = orbit_of[1:]
+            act = list(range(len(cadd)))
+            cpow = [act]  # cpow[k] = codomain action of g^k
+            for _ in range(q - 2):
+                act = list(map(self.gact.__getitem__, act))
+                cpow.append(act)
+            reps, orbit_of = [], [None] * n
+            for r in range(1, n):
+                if orbit_of[r] is None:  # the least rank of a new orbit
+                    i = r
+                    for act in cpow:
+                        orbit_of[i] = (len(reps), act)
+                        i = self.scales[i]
+                    reps.append(r)
+            self.reps, self.orbit_of = reps, orbit_of[1:]
 
     @cached_property
     def cvecs(self) -> list:
@@ -140,7 +165,7 @@ class _IndexTables:
     def orbit_map(self, phi) -> OrbitTableMap:
         """The orbit map of phi: phi at each representative, where g^0 = 1 acts."""
         cvecs = self.cvecs
-        values = {v: cvecs[phi[i]] for v, i in zip(self.rep_vectors, self.reps)}
+        values = {v: cvecs[phi[i]] for v, i in zip(self.domain.orbits(), self.reps)}
         return OrbitTableMap(self.domain, self.codomain, values)
 
 

@@ -468,6 +468,39 @@ def test_index_tables_hold_basis_constraints_only():
     assert len(tables.scales) == 512
 
 
+ORACLE_FIELDS = [Z2, Z3, Z5, PrimeField(7), GF4, gf(2, 3), GF9, gf(3, 3)]
+TABLE_ORACLE = [(f, du, dv) for f in ORACLE_FIELDS for du in (1, 2, 3) for dv in (1, 2, 3)
+                if f.order**du <= 729 and f.order**dv <= 27]
+
+
+@pytest.mark.parametrize("field,du,dv", TABLE_ORACLE,
+                         ids=[f"{f.order}-{du}-{dv}" for f, du, dv in TABLE_ORACLE])
+def test_index_tables_match_vector_arithmetic(field, du, dv):
+    # every table the orbit search builds, read back through VectorSpace
+    dom, cod = VectorSpace(field, du), VectorSpace(field, dv)
+    tables = search._IndexTables(dom, cod, True)
+    dvecs, cvecs = list(dom.vectors()), list(cod.vectors())
+    assert len(tables.cadd) == len(cvecs)
+    for a, row in enumerate(tables.cadd):
+        assert row == [cod.rank(cod.add(cvecs[a], w)) for w in cvecs]
+    p, d = field.characteristic, getattr(field, "degree", 1)
+    basis = [p**k for k in range(d * du)]
+    assert [(i, e) for i, e, _ in tables.sums] == [(i, e) for i in range(len(dvecs))
+                                                   for e in basis]
+    for i, e, k in tables.sums:
+        assert k == dom.rank(dom.add(dvecs[i], dvecs[e]))
+    assert tables.reps == [dom.rank(v) for v in dom.orbits()]
+    assert len(tables.orbit_of) == len(dvecs) - 1
+    scaled = {}  # codomain row of each scalar, by its rank
+    for v, (o, act) in zip(dvecs[1:], tables.orbit_of):
+        rep, scale = dom.canonical_rep(v)
+        assert dom.orbits()[o] == rep
+        s = field.rank(scale)
+        if s not in scaled:
+            scaled[s] = [cod.rank(cod.scalar_mul(scale, w)) for w in cvecs]
+        assert act == scaled[s]
+
+
 def test_table_scan_guard():
     with pytest.raises(SearchSpaceTooLarge):
         scan_additive_tables(Z5, 3, 3)

@@ -179,9 +179,29 @@ def _orbits_kept_per_field(mp):
 
 
 def _orbit_powers_shifted(mp):
-    # orbit_of names g^k*rep with the codomain action of g^(k+1)
+    # orbit_of names g^k*rep with the codomain action of g^(k+1): the powers
+    # of g iterated from g's action instead of the identity
     mp.setattr(search._IndexTables, "__init__", _mutated(
-        search._IndexTables.__init__, "for s in exp]", "for s in exp[1:] + exp[:1]]"))
+        search._IndexTables.__init__, "act = list(range(len(cadd)))", "act = self.gact"))
+
+
+def _digit_step_without_carry(mp):
+    # i + p^k left unreduced where digit k of i is p - 1
+    mp.setattr(search._IndexTables, "__init__", _mutated(
+        search._IndexTables.__init__,
+        "add += range(b, b + e)", "add += range(b + p * e, b + p * e + e)"))
+
+
+def _first_rank_scan_from_two(mp):
+    # the orbit scan starts at rank 2, so rank 1 never opens its orbit
+    mp.setattr(search._IndexTables, "__init__", _mutated(
+        search._IndexTables.__init__, "for r in range(1, n):", "for r in range(2, n):"))
+
+
+def _field_sums_one_digit_short(mp):
+    # the field's sum table built over one Z_p digit fewer than the degree
+    mp.setattr(search._IndexTables, "__init__", _mutated(
+        search._IndexTables.__init__, "range(drows.digits - 1)", "range(drows.digits - 2)"))
 
 
 def _plan_reversed(mp):
@@ -355,6 +375,21 @@ FAULTS = {  # fault: (seeded fault, its catcher, its parameters[, match])
         _orbit_powers_shifted,
         test_search.test_search_matches_orbit_bruteforce,
         {"field": test_search.Z3, "du": 2, "dv": 1},
+    ),
+    "digit-step-without-carry": (
+        _digit_step_without_carry,
+        test_search.test_index_tables_match_vector_arithmetic,
+        {"field": test_search.Z3, "du": 1, "dv": 1},
+    ),
+    "first-rank-scan-from-two": (
+        _first_rank_scan_from_two,
+        test_search.test_index_tables_match_vector_arithmetic,
+        {"field": test_search.Z3, "du": 1, "dv": 1},
+    ),
+    "field-sums-one-digit-short": (
+        _field_sums_one_digit_short,
+        test_search.test_index_tables_match_vector_arithmetic,
+        {"field": test_search.GF4, "du": 1, "dv": 1},
     ),
     "table-scan-plan-reversed": (
         _plan_reversed,
