@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each is the last option of its parsers, so --help lists it last
     for p in (p_search, p_vt):
-        p.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
+        p.add_argument("--max-candidates", type=_nonnegative_int,
+                       default=DEFAULT_MAX_CANDIDATES)
     for p in (p_irr, p_check, p_trace, p_search, p_vt):
         p.add_argument("--format", choices=["text", "json"], default="text")
     return parser

@@ -32,9 +32,9 @@ same way, and inverses (extended Euclid) and the irreducibility test
 Finite fields carry a canonical element order, "rank": residues by value,
 extension elements by sum(rank(c_i) * p**i) over ascending coefficients.
 Everything downstream that promises a deterministic "first witness" relies
-on this order, and spaces.SpaceRows computes on it: addition and
-multiplication of ranks, for the exhaustive checkers and the search's index
-tables.
+on this order; spaces.SpaceRows, the one owner of the rank digit rule,
+computes on it: addition and multiplication of ranks, for the exhaustive
+checkers and the search's index tables.
 """
 
 from __future__ import annotations

@@ -24,14 +24,14 @@ first violation as a witness, so identical inputs always produce identical
 reports.  An exhaustive check runs on element ranks: it tabulates phi by
 domain rank, checking each value against the codomain once, and compares
 whole rows of pairs through rank rows built inside the call (vector
-addition and scalar action as products of field rows, see
-spaces.SpaceRows).  Only the first failing pair is decoded to field
-elements, and its witness is computed on them, with the tuple arithmetic
-of the spaces.  The sampled strategy runs on that tuple arithmetic
-throughout: it checks a fixed list of corner pairs first (origin, standard
-basis pairs, sign flips, coordinate-sum-zero probes) and only then the
-pseudo-random draws; corners are what pin the published witnesses on
-infinite fields.
+addition and scalar action as products of field rows, from
+spaces.SpaceRows, the one owner of the rank digit rule).  Only the first
+failing pair is decoded to field elements, and its witness is computed on
+them, with the tuple arithmetic of the spaces.  The sampled strategy runs
+on that tuple arithmetic throughout: it checks a fixed list of corner
+pairs first (origin, standard basis pairs, sign flips, coordinate-sum-zero
+probes) and only then the pseudo-random draws; corners are what pin the
+published witnesses on infinite fields.
 
 An exhaustive check evaluates each input at most once per map, not per
 call: the rank table belongs to the map (built by the first exhaustive

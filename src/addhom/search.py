@@ -71,53 +71,32 @@ def count_linear(field: Field, du: int, dv: int) -> int:
 
 class _IndexTables:
     """Constraints on a map F^du -> F^dv, phi = its value indices by domain
-    index, built by arithmetic on ranks, whose base-p digits are the Z_p
-    coefficients (SpaceRows): cadd, the codomain's sum table, is the Z_p
-    sum table multiplied out over the digits, then over the coordinates.
-    The ranks e = p^k in SpaceRows.basis are a Z_p-basis of F^du, so by
-    induction on the Z_p coordinates phi is additive iff phi(i + e) = phi(i)
-    + phi(e) for every i and e (i = 0 gives phi(0) = 0): sums holds these
-    n*d*du triples (i, e, i + e), where adding e steps digit k of i mod p.
-    With g the primitive element of SpaceRows (1 if q = 2), scales[i]
-    indexes g*v_i and gact is g's codomain action; g generates F*, so phi
-    is homogeneous iff phi(0) = 0 and gact[phi[i]] = phi[scales[i]] for
-    every i.  Both scans build these; only the orbit search (orbits=True)
-    builds the orbit tables: reps, each orbit's least rank, which is its
-    canonical representative (coordinate 0 is the most significant digit
-    and a leading coordinate 1 has field rank 1), so they come in
-    domain.orbits() order with no vector listed; and orbit_of, naming each
-    nonzero g^k*rep by its orbit and the codomain action of g^k (gact
-    iterated k times).  cvecs, the codomain vectors, and the
+    index, built on ranks by the digit arithmetic of SpaceRows, which lists
+    no vector: cadd is the codomain's sum table (SpaceRows.sums), and sums
+    holds the n*d*du triples (i, e, i + e) for the basis ranks e of F^du
+    (SpaceRows.steps).  By induction on the Z_p coordinates, phi is additive
+    iff phi(i + e) = phi(i) + phi(e) for every such triple (i = 0 gives
+    phi(0) = 0).  With g the primitive element of SpaceRows (1 if q = 2),
+    scales[i] indexes g*v_i and gact is g's codomain action; g generates
+    F*, so phi is homogeneous iff phi(0) = 0 and gact[phi[i]] =
+    phi[scales[i]] for every i.  Both scans build these; only the orbit
+    search (orbits=True) builds the orbit tables: reps, each orbit's least
+    rank, which is its canonical representative (coordinate 0 is the most
+    significant digit and a leading coordinate 1 has field rank 1), so they
+    come in domain.orbits() order with no vector listed; and orbit_of,
+    naming each nonzero g^k*rep by its orbit and the codomain action of g^k
+    (gact iterated k times).  cvecs, the codomain vectors, and the
     representatives are read when a map is emitted."""
 
     def __init__(self, domain: VectorSpace, codomain: VectorSpace, orbits=False):
         self.domain, self.codomain = domain, codomain
         n, q = domain.size, domain.field.order
         drows, crows = SpaceRows(domain), SpaceRows(codomain)
-        p = drows.p
-        # the field's sum table, one Z_p digit at a time, then the codomain's,
-        # one coordinate at a time, the new one slowest
-        zp = [[(a + b) % p for b in range(p)] for a in range(p)]
-        frows, size = zp, p
-        for _ in range(drows.digits - 1):
-            frows = [[x * size + y for x in z for y in row] for z in zp for row in frows]
-            size *= p
-        cadd, size = frows, q
-        for _ in range(codomain.dim - 1):
-            cadd = [[x * size + y for x in f for y in row] for f in frows for row in cadd]
-            size *= q
-        self.cadd = cadd
-        exp = crows.exp  # exp[k] = rank(g^k)
-        g = exp[1 % (q - 1)]  # exp[0] = 1 is g when q = 2
+        cadd = self.cadd = crows.sums()
+        g = crows.exp[1 % (q - 1)]  # exp[k] = rank(g^k); exp[0] = 1 is g when q = 2
         self.scales, self.gact = drows.act(g), crows.act(g)
-        basis = []
-        for e in drows.basis:  # e = p^k steps digit k of i mod p
-            add = []
-            for b in range(0, n, p * e):  # the ranks that agree with b from digit k up
-                add += range(b + e, b + p * e)  # digit k below p - 1: i + e
-                add += range(b, b + e)  # digit k = p - 1: i + e - p * e
-            basis.append((e, add))
-        self.sums = [(i, e, add[i]) for i in range(n) for e, add in basis]
+        steps = drows.steps()
+        self.sums = [(i, e, add[i]) for i in range(n) for e, add in steps]
         if orbits:
             act = list(range(len(cadd)))
             cpow = [act]  # cpow[k] = codomain action of g^k

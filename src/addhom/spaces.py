@@ -196,9 +196,10 @@ class SpaceRows:
     of the 1-dim space: field_add(a)[b] = rank(a + b) and field_mul(a)[b] =
     rank(a * b) for field ranks a, b.
 
-    A field rank's base-p digits are its Z_p coefficients, so a field
-    addition row is the product of Z_p rows, digit by digit, with no field
-    call, and the vector ranks p^k (basis) are a Z_p-basis of the space.
+    The digit rule lives here alone: the d*dim base-p digits of a vector
+    rank, coordinate 0's most significant, are its Z_p coefficients.  So a
+    field addition row and sums() are products of Z_p rows, with no field
+    call, and the ranks p^k of steps() are a Z_p-basis of the space.
     Multiplication goes through the logarithms of a primitive element g,
     the first element by rank of order q - 1: exp[k] = rank(g^k) and
     log[exp[k]] = k (the Zech construction; Lidl and Niederreiter, Finite
@@ -221,9 +222,27 @@ class SpaceRows:
     def exp(self) -> list:
         return self._logs()[0]
 
-    @property
-    def basis(self) -> list:
-        return [self.p**k for k in range(self.digits * self.dim)]
+    def sums(self) -> list:
+        """The sum table, sums()[i] == add(i): the Z_p table multiplied out
+        over the d*dim digits, one at a time, the new digit slowest."""
+        p = self.p
+        zp = [self._cycle[a:a + p] for a in range(p)]
+        table, size = zp, p
+        for _ in range(self.digits * self.dim - 1):
+            table = [[x * size + y for x in z for y in row] for z in zp for row in table]
+            size *= p
+        return table
+
+    def steps(self) -> list:
+        """(e, add(e)) for each basis rank e = p^k: e steps digit k mod p."""
+        p, n, out = self.p, self.q**self.dim, []
+        for k in range(self.digits * self.dim):
+            e, row = p**k, []
+            for b in range(0, n, p * e):  # the ranks that agree with b from digit k up
+                row += range(b + e, b + p * e)  # digit k below p - 1: i + e
+                row += range(b, b + e)  # digit k = p - 1: i + e - p * e
+            out.append((e, row))
+        return out
 
     def _logs(self):
         """(exp, log), built once per field object and kept on it."""

@@ -98,10 +98,9 @@ def _g_row_without_zero_clause(mp):
 
 
 def _sum_table_factors_swapped(mp):
-    # the codomain sum table's rows listed with the slowest coordinate last
-    mp.setattr(search._IndexTables, "__init__", _mutated(
-        search._IndexTables.__init__,
-        "for f in frows for row in cadd", "for row in cadd for f in frows"))
+    # the sum table's rows listed with the slowest digit last
+    mp.setattr(SpaceRows, "sums", _mutated(
+        SpaceRows.sums, "for z in zp for row in table", "for row in table for z in zp"))
 
 
 def _log_rows_per_field_order(mp):
@@ -187,9 +186,15 @@ def _orbit_powers_shifted(mp):
 
 def _digit_step_without_carry(mp):
     # i + p^k left unreduced where digit k of i is p - 1
-    mp.setattr(search._IndexTables, "__init__", _mutated(
-        search._IndexTables.__init__,
-        "add += range(b, b + e)", "add += range(b + p * e, b + p * e + e)"))
+    mp.setattr(SpaceRows, "steps", _mutated(
+        SpaceRows.steps,
+        "row += range(b, b + e)", "row += range(b + p * e, b + p * e + e)"))
+
+
+def _steps_over_field_digits_only(mp):
+    # the basis steps of the first coordinate's digits only, as if dim were 1
+    mp.setattr(SpaceRows, "steps", _mutated(
+        SpaceRows.steps, "range(self.digits * self.dim)", "range(self.digits)"))
 
 
 def _first_rank_scan_from_two(mp):
@@ -199,9 +204,10 @@ def _first_rank_scan_from_two(mp):
 
 
 def _field_sums_one_digit_short(mp):
-    # the field's sum table built over one Z_p digit fewer than the degree
-    mp.setattr(search._IndexTables, "__init__", _mutated(
-        search._IndexTables.__init__, "range(drows.digits - 1)", "range(drows.digits - 2)"))
+    # the sum table built over one Z_p digit fewer than d*dim
+    mp.setattr(SpaceRows, "sums", _mutated(
+        SpaceRows.sums,
+        "range(self.digits * self.dim - 1)", "range(self.digits * self.dim - 2)"))
 
 
 def _plan_reversed(mp):
@@ -380,6 +386,11 @@ FAULTS = {  # fault: (seeded fault, its catcher, its parameters[, match])
         _digit_step_without_carry,
         test_search.test_index_tables_match_vector_arithmetic,
         {"field": test_search.Z3, "du": 1, "dv": 1},
+    ),
+    "steps-over-field-digits-only": (
+        _steps_over_field_digits_only,
+        test_search.test_index_tables_match_vector_arithmetic,
+        {"field": test_search.Z3, "du": 2, "dv": 1},
     ),
     "first-rank-scan-from-two": (
         _first_rank_scan_from_two,

@@ -84,13 +84,22 @@ def test_rank_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "field,dim", [(Z3, 2), (GF4, 2), (Z2, 3)], ids=["Z3-2", "GF4-2", "Z2-3"]
+    "field,dim", [(Z3, 2), (GF4, 2), (Z2, 3), (gf(3, 2), 2)],
+    ids=["Z3-2", "GF4-2", "Z2-3", "GF9-2"],
 )
 def test_rank_rows_match_vector_operations(field, dim):
+    # GF9-2 (p > 2, d > 1): steps wrap digit p - 1 inside a coordinate and at
+    # a coordinate's lowest digit
     space = VectorSpace(field, dim)
     rows, vecs = SpaceRows(space), list(space.vectors())
     for i, u in enumerate(vecs):
         assert [vecs[k] for k in rows.add(i)] == [space.add(u, v) for v in vecs]
+    assert rows.sums() == [rows.add(i) for i in range(len(vecs))]
+    p, d = field.characteristic, getattr(field, "degree", 1)
+    steps = rows.steps()
+    assert [e for e, _ in steps] == [p**k for k in range(d * dim)]
+    for e, row in steps:
+        assert row == rows.add(e)
     for s, lam in enumerate(field.elements()):
         assert [vecs[k] for k in rows.act(s)] == [
             space.scalar_mul(lam, v) for v in vecs
