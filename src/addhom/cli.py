@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--codomain-dim", type=int, required=True)
     p_search.add_argument("--mode", choices=["count", "witness"], default="witness")
     p_search.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_nonnegative_int, default=1,
         help="accepted for compatibility; the search runs in one process",
     )
     p_search.set_defaults(func=_cmd_search)

@@ -108,6 +108,7 @@ class Field:
 
     characteristic: int
     order: int | None  # None for infinite fields
+    degree = 1  # [F : Q] or [F : Z_p]; an extension field sets deg(m)
 
     @property
     def is_finite(self) -> bool:

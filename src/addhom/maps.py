@@ -329,7 +329,7 @@ def _resolve_strategy(m: VectorMap, strategy, k: int):
                 f"{q}^{k} pairs exceed the limit {limit}; use --strategy sampled"
             )
     else:
-        limit = SAMPLE_BUDGET // (m.domain.dim * getattr(m.domain.field, "degree", 1))
+        limit = SAMPLE_BUDGET // (m.domain.dim * m.domain.field.degree)
         if strategy.samples > limit:
             raise SearchSpaceTooLarge(
                 f"{strategy.samples} samples exceed the limit {limit}"

@@ -76,25 +76,21 @@ class _IndexTables:
     holds the n*d*du triples (i, e, i + e) for the basis ranks e of F^du
     (SpaceRows.steps).  By induction on the Z_p coordinates, phi is additive
     iff phi(i + e) = phi(i) + phi(e) for every such triple (i = 0 gives
-    phi(0) = 0).  With g the primitive element of SpaceRows (1 if q = 2),
-    scales[i] indexes g*v_i and gact is g's codomain action; g generates
-    F*, so phi is homogeneous iff phi(0) = 0 and gact[phi[i]] =
-    phi[scales[i]] for every i.  Both scans build these; only the orbit
-    search (orbits=True) builds the orbit tables: reps, each orbit's least
-    rank, which is its canonical representative (coordinate 0 is the most
-    significant digit and a leading coordinate 1 has field rank 1), so they
-    come in domain.orbits() order with no vector listed; and orbit_of,
-    naming each nonzero g^k*rep by its orbit and the codomain action of g^k
-    (gact iterated k times).  cvecs, the codomain vectors, and the
-    representatives are read when a map is emitted."""
+    phi(0) = 0).  With g the primitive element of SpaceRows, scales[i]
+    indexes g*v_i and gact is g's codomain action; g generates F*, so phi is
+    homogeneous iff phi(0) = 0 and gact[phi[i]] = phi[scales[i]] for every
+    i.  Both scans build these; only the orbit search (orbits=True) builds
+    the orbit tables: reps, the ranks of domain.orbits() (orbit_ranks), and
+    orbit_of, naming each nonzero g^k*rep by its orbit and the codomain
+    action of g^k (gact iterated k times).  cvecs, the codomain vectors, and
+    the representatives are read when a map is emitted."""
 
     def __init__(self, domain: VectorSpace, codomain: VectorSpace, orbits=False):
         self.domain, self.codomain = domain, codomain
         n, q = domain.size, domain.field.order
         drows, crows = SpaceRows(domain), SpaceRows(codomain)
         cadd = self.cadd = crows.sums()
-        g = crows.exp[1 % (q - 1)]  # exp[k] = rank(g^k); exp[0] = 1 is g when q = 2
-        self.scales, self.gact = drows.act(g), crows.act(g)
+        self.scales, self.gact = drows.act(crows.g), crows.act(crows.g)
         steps = drows.steps()
         self.sums = [(i, e, add[i]) for i in range(n) for e, add in steps]
         if orbits:
@@ -103,15 +99,12 @@ class _IndexTables:
             for _ in range(q - 2):
                 act = list(map(self.gact.__getitem__, act))
                 cpow.append(act)
-            reps, orbit_of = [], [None] * n
-            for r in range(1, n):
-                if orbit_of[r] is None:  # the least rank of a new orbit
-                    i = r
-                    for act in cpow:
-                        orbit_of[i] = (len(reps), act)
-                        i = self.scales[i]
-                    reps.append(r)
-            self.reps, self.orbit_of = reps, orbit_of[1:]
+            self.reps, orbit_of = domain.orbit_ranks(), [None] * n
+            for o, i in enumerate(self.reps):
+                for act in cpow:
+                    orbit_of[i] = (o, act)
+                    i = self.scales[i]
+            self.orbit_of = orbit_of[1:]
 
     @cached_property
     def cvecs(self) -> list:
@@ -351,7 +344,7 @@ def scan_additive_tables(
             bad += 1
             if first_bad is None:
                 first_bad = tables.table_map(table)
-    d = getattr(field, "degree", 1)  # additive tables are the Z_p-linear maps
+    d = field.degree  # additive tables are the Z_p-linear maps
     _closed_form(additive, field.characteristic ** (d * du * d * dv))
     if first_bad is not None:
         _reverify(first_bad, check_additive, check_homogeneous)

@@ -6,11 +6,11 @@ vectors fall into scalar orbits {lam * v : lam != 0} of q - 1 members each;
 each orbit has a unique canonical representative whose first nonzero
 coordinate is 1, which is what makes orbit-table maps, keyed by those
 representatives, well-defined; orbits() lists them, built once per space
-and kept; orbit_count counts them unlisted.  Callers read a space's
-dimension rule (dim >= 1), size and orbit count off it.  SpaceRows gives
-a finite space's addition and scalar action on vector ranks, and its
-field's addition and multiplication on element ranks, for the exhaustive
-checkers and the search's index tables.
+and kept; orbit_ranks() ranks them and orbit_count counts them unlisted.
+Callers read a space's dimension rule (dim >= 1), size and orbits off it.
+SpaceRows gives a finite space's addition and scalar action on vector
+ranks, its field's addition and multiplication on element ranks, and the
+rank of a primitive element g, for the exhaustive checkers and the search.
 """
 
 from __future__ import annotations
@@ -150,6 +150,12 @@ class VectorSpace:
                               if next((c for c in v if c != zero), None) == one]
         return cache["_reps"]
 
+    def orbit_ranks(self) -> list:
+        """The ranks of orbits(), in order, listing no vector: a leading 1
+        (field rank 1) then j free coordinates ranks q^j to 2*q^j - 1."""
+        q = self.field.order
+        return [r for j in range(self.dim) for r in range(q**j, 2 * q**j)]
+
     # text encoding: "(e0,e1,...)" ---------------------------------------
 
     def encode(self, v) -> str:
@@ -200,27 +206,27 @@ class SpaceRows:
     rank, coordinate 0's most significant, are its Z_p coefficients.  So a
     field addition row and sums() are products of Z_p rows, with no field
     call, and the ranks p^k of steps() are a Z_p-basis of the space.
-    Multiplication goes through the logarithms of a primitive element g,
-    the first element by rank of order q - 1: exp[k] = rank(g^k) and
+    Multiplication goes through the logarithms of a primitive element g, the
+    first element by rank of order q - 1: exp[k] = rank(g^k) and
     log[exp[k]] = k (the Zech construction; Lidl and Niederreiter, Finite
-    Fields, ch. 9).  Building them costs O(q) field operations, paid once
-    per field object, on the first field_mul() (or read of exp) of any
-    SpaceRows over it, so addition rows alone cost none.  The two lists,
-    of q - 1 and q ints, stay on the field object for its lifetime and are
-    shared by every space over it.  Field addition rows are kept when
-    dim >= 2, where all q^2 of their entries fit in one vector row of
+    Fields, ch. 9); g is exp[1], or exp[0] = 1 when q = 2.  Building them
+    costs O(q) field operations, paid once per field object, on the first
+    field_mul() or read of g of any SpaceRows over it, so addition rows
+    alone cost none.  The two lists (q - 1 and q ints) are kept on the field
+    object, shared by every space over it.  Field addition rows are kept
+    when dim >= 2, where all q^2 of their entries fit in one vector row of
     q^dim; at dim 1 each is rebuilt on request.  No other row is kept."""
 
     def __init__(self, space: VectorSpace):
         field = self.field = space.field
         self.q, self.p, self.dim = field.order, field.characteristic, space.dim
-        self.digits = getattr(field, "degree", 1)
+        self.digits = field.degree
         self._cycle = list(range(self.p)) * 2
         self._adds = {}
 
     @property
-    def exp(self) -> list:
-        return self._logs()[0]
+    def g(self) -> int:
+        return self._logs()[0][1 % (self.q - 1)]
 
     def sums(self) -> list:
         """The sum table, sums()[i] == add(i): the Z_p table multiplied out

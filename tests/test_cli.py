@@ -245,22 +245,26 @@ def test_negative_samples_exits_2(tmp_path, capsys):
     assert code == 0 and "pairs checked: 12" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["search", "--field", "Fp:2"],
-    ["verify-theorem1", "--p", "2"],
-], ids=["search", "verify-theorem1"])
-def test_negative_max_candidates_exits_2(argv, capsys):
-    argv = argv + ["--domain-dim", "1", "--codomain-dim", "1", "--max-candidates"]
+@pytest.mark.parametrize("argv,option", [
+    (["search", "--field", "Fp:2"], "--max-candidates"),
+    (["verify-theorem1", "--p", "2"], "--max-candidates"),
+    (["search", "--field", "Fp:2"], "--jobs"),
+], ids=["search", "verify-theorem1", "search-jobs"])
+def test_negative_max_candidates_exits_2(argv, option, capsys):
+    argv = argv + ["--domain-dim", "1", "--codomain-dim", "1", option]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["-1"])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert [line for line in err.splitlines() if "error:" in line] == [
-        f"addhom {argv[0]}: error: argument --max-candidates: must be >= 0, not -1"
+        f"addhom {argv[0]}: error: argument {option}: must be >= 0, not -1"
     ]
-    # a limit of 0 is a limit: the guard refuses the instance
     code, out, err = run(capsys, *argv, "0")
+    if option == "--jobs":  # accepted and inert: the run of the default
+        assert (code, out, err) == run(capsys, *argv[:-1])
+        return
+    # a limit of 0 is a limit: the guard refuses the instance
     assert (code, out) == (3, "")
     assert err.endswith(" exceed the limit 0\n")
 

@@ -930,10 +930,12 @@ def test_rational_draws_match_fraction_of_two_randints(seed):
 def test_rank_rows_match_field_operations(field):
     rows = SpaceRows(VectorSpace(field, 1))
     q, elems = field.order, list(field.elements())
-    assert sorted(rows.exp) == list(range(1, q))
-    assert all(rows._logs()[1][r] == k for k, r in enumerate(rows.exp))
+    exp = rows._logs()[0]
+    assert sorted(exp) == list(range(1, q))
+    assert all(rows._logs()[1][r] == k for k, r in enumerate(exp))
     # the primitive element: its first power back at 1 is the (q-1)-th
-    g = x = elems[rows.exp[1 % (q - 1)]]
+    g = x = elems[rows.g]
+    assert field.rank(g) == exp[1 % (q - 1)]
     order = 1
     while x != field.one:
         x, order = field.mul(x, g), order + 1
@@ -963,7 +965,7 @@ def test_log_rows_are_kept_per_field(monkeypatch, moduli):
     for field in pair:  # the rows of a second space come from its field object
         monkeypatch.setattr(field, "mul", lambda *args: calls.append(args))
         rows = SpaceRows(VectorSpace(field, 2))
-        assert len(rows.exp) == q - 1 and len(rows.act(q - 1)) == q**2
+        assert len(rows._logs()[0]) == q - 1 and len(rows.act(q - 1)) == q**2
     assert calls == []
 
 
@@ -1008,6 +1010,13 @@ def test_gf_convenience():
     assert gf(7).descriptor() == "Fp:7"
 
 
+def test_from_int_over_finite_fields():
+    # n * 1 is n mod p, embedded in the prime subfield
+    assert Z5.from_int(7) == 2
+    assert GF4.from_int(3) == GF4.one
+    assert GF9.from_int(-1) == GF9.embed(2, 3) == (2, 0)
+
+
 def test_poly_helpers_trim_and_mul():
     assert poly_trim(Z2, (1, 1, 0, 0)) == (1, 1)
     assert poly_mul(Z2, (1, 1), (1, 1)) == (1, 0, 1)
@@ -1015,7 +1024,7 @@ def test_poly_helpers_trim_and_mul():
 
 def test_additivity_check_builds_no_log_table(monkeypatch):
     # the addition rows need no logarithms: an exhaustive additivity check
-    # over GF(81) must not build SpaceRows.exp/log (81 field products)
+    # over GF(81) must not build SpaceRows._logs (81 field products)
     made, builds = [], []
     init, logs = SpaceRows.__init__, SpaceRows._logs
 

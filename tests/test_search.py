@@ -483,7 +483,7 @@ def test_index_tables_match_vector_arithmetic(field, du, dv):
     assert len(tables.cadd) == len(cvecs)
     for a, row in enumerate(tables.cadd):
         assert row == [cod.rank(cod.add(cvecs[a], w)) for w in cvecs]
-    p, d = field.characteristic, getattr(field, "degree", 1)
+    p, d = field.characteristic, field.degree
     basis = [p**k for k in range(d * du)]
     assert [(i, e) for i, e, _ in tables.sums] == [(i, e) for i in range(len(dvecs))
                                                    for e in basis]

@@ -198,9 +198,16 @@ def _steps_over_field_digits_only(mp):
 
 
 def _first_rank_scan_from_two(mp):
-    # the orbit scan starts at rank 2, so rank 1 never opens its orbit
-    mp.setattr(search._IndexTables, "__init__", _mutated(
-        search._IndexTables.__init__, "for r in range(1, n):", "for r in range(2, n):"))
+    # the orbit ranks of j free coordinates start one past q^j, so the
+    # representative (0, ..., 0, 1, 0, ..., 0) names no orbit
+    mp.setattr(VectorSpace, "orbit_ranks", _mutated(
+        VectorSpace.orbit_ranks, "range(q**j, 2 * q**j)", "range(q**j + 1, 2 * q**j)"))
+
+
+def _g_is_the_identity(mp):
+    # the primitive element read as exp[0] = 1, so every table commutes with
+    # g; the source _mutated compiles keeps its @property
+    mp.setattr(SpaceRows, "g", _mutated(SpaceRows.g.fget, "[1 % (self.q - 1)]", "[0]"))
 
 
 def _field_sums_one_digit_short(mp):
@@ -260,7 +267,7 @@ def _last_free_position_dropped(mp):
 def _sample_budget_ignores_degree(mp):
     # a sampled check bounded by samples * dim, as if every field were Q or Z_p
     mp.setattr(maps, "_resolve_strategy", _mutated(
-        maps._resolve_strategy, 'getattr(m.domain.field, "degree", 1)', "1"))
+        maps._resolve_strategy, "m.domain.field.degree", "1"))
 
 
 def _sampled_guard_exclusive(mp):
@@ -396,6 +403,12 @@ FAULTS = {  # fault: (seeded fault, its catcher, its parameters[, match])
         _first_rank_scan_from_two,
         test_search.test_index_tables_match_vector_arithmetic,
         {"field": test_search.Z3, "du": 1, "dv": 1},
+    ),
+    "g-is-the-identity": (
+        _g_is_the_identity,
+        scan_additive_tables,
+        {"field": test_search.GF4, "du": 1, "dv": 1},
+        "closed form",
     ),
     "field-sums-one-digit-short": (
         _field_sums_one_digit_short,

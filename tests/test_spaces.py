@@ -95,7 +95,7 @@ def test_rank_rows_match_vector_operations(field, dim):
     for i, u in enumerate(vecs):
         assert [vecs[k] for k in rows.add(i)] == [space.add(u, v) for v in vecs]
     assert rows.sums() == [rows.add(i) for i in range(len(vecs))]
-    p, d = field.characteristic, getattr(field, "degree", 1)
+    p, d = field.characteristic, field.degree
     steps = rows.steps()
     assert [e for e, _ in steps] == [p**k for k in range(d * dim)]
     for e, row in steps:
@@ -209,6 +209,9 @@ def test_orbit_partition_invariants(field, dim):
     q = field.order
     orbits = space.orbits()
     assert len(orbits) == (q**dim - 1) // (q - 1)
+    # the closed-form ranks list no vector, yet name the same representatives
+    assert space.orbit_ranks() == [space.rank(v) for v in orbits]
+    assert len(space.orbit_ranks()) == space.orbit_count
     nonzero_scalars = [s for s in field.elements() if s != field.zero]
     seen = set()
     total = 0
