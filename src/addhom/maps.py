@@ -19,19 +19,18 @@ reduced Fraction at the end, with no field operation; over finite fields
 the k-linear map is a residue dot product and the ratio map goes through
 the field's add, mul and div.
 
-Checkers scan ordered pairs in canonical enumeration order and report the
-first violation as a witness, so identical inputs always produce identical
-reports.  An exhaustive check runs on element ranks: it tabulates phi by
-domain rank, checking each value against the codomain once, and compares
-whole rows of pairs through rank rows built inside the call (vector
-addition and scalar action as products of field rows, from
+Both laws, additivity and homogeneity, are checked by one scan: ordered
+pairs in a fixed order, the first failing pair reported as the witness, so
+identical inputs always produce identical reports.  The laws differ only in
+data (_LAWS) and in their sampled pairs; check_linear runs additivity, then
+homogeneity.  An exhaustive check runs on element ranks: it tabulates phi
+by domain rank, checking each value against the codomain once, and
+compares whole rows of pairs through rank rows built inside the call
+(vector addition and scalar action as products of field rows, from
 spaces.SpaceRows, the one owner of the rank digit rule).  Only the first
-failing pair is decoded to field elements, and its witness is computed on
-them, with the tuple arithmetic of the spaces.  The sampled strategy runs
-on that tuple arithmetic throughout: it checks a fixed list of corner
-pairs first (origin, standard basis pairs, sign flips, coordinate-sum-zero
-probes) and only then the pseudo-random draws; corners are what pin the
-published witnesses on infinite fields.
+failing pair is decoded to field elements, where its witness is computed
+with the tuple arithmetic of the spaces, as a sampled check computes every
+pair; its fixed corner pairs, run before the draws, pin published witnesses.
 
 An exhaustive check evaluates each input at most once per map, not per
 call: the rank table belongs to the map (built by the first exhaustive
@@ -337,54 +336,34 @@ def _resolve_strategy(m: VectorMap, strategy, k: int):
     return strategy
 
 
-def _corners(space: VectorSpace):
-    """The origin, the standard basis, and (dim >= 2) the probe
-    g = (1, -1, 0, ...) of the coordinate-sum-zero branch of closed-form maps."""
-    f = space.field
-    basis = [
-        tuple(f.one if j == i else f.zero for j in range(space.dim))
-        for i in range(space.dim)
-    ]
-    probes = []
-    if space.dim >= 2:
-        probes.append((f.one, f.neg(f.one)) + (f.zero,) * (space.dim - 2))
-    return space.zero, basis, probes
-
-
-def _additivity_corner_pairs(space: VectorSpace):
-    z, basis, probes = _corners(space)
-    pairs = [(z, z)]
-    pairs += [(z, e) for e in basis]
-    pairs += [(e, z) for e in basis]
-    pairs += [(e, f) for e in basis for f in basis]
-    pairs += [(e, space.neg(e)) for e in basis]
-    for g in probes:
-        pairs += [(g, g), (g, z), (z, g), (g, space.neg(g))]
-        pairs += [(g, e) for e in basis]
-    return pairs
-
-
-def _homogeneity_corner_pairs(m: VectorMap):
-    f = m.domain.field
-    lams = [f.zero, f.one, f.neg(f.one)]
-    if isinstance(f, ExtensionField):
-        lams.append(f.generator)
-    z, basis, probes = _corners(m.domain)
-    return [(lam, u) for lam in lams for u in [z, *basis, *probes]]
-
-
-def _additivity_pairs(m: VectorMap, strategy: Sampled):
-    yield from _additivity_corner_pairs(m.domain)
+def _sampled_pairs(m: VectorMap, law: str, strategy: Sampled):
+    """A sampled check's pairs: fixed corners from the origin z, the standard
+    basis e_i and (dim >= 2) the probe g = (1, -1, 0, ...) of the
+    coordinate-sum-zero branch of closed-form maps, then the seeded draws."""
+    space, f = m.domain, m.domain.field
+    z = space.zero
+    basis = [z[:i] + (f.one,) + z[i + 1:] for i in range(space.dim)]
+    probes = [(f.one, f.neg(f.one)) + z[2:]] if space.dim >= 2 else []
+    if law == "additivity":
+        corners = [(z, z)]
+        corners += [(z, e) for e in basis]
+        corners += [(e, z) for e in basis]
+        corners += [(e, h) for e in basis for h in basis]
+        corners += [(e, space.neg(e)) for e in basis]
+        for g in probes:
+            corners += [(g, g), (g, z), (z, g), (g, space.neg(g))]
+            corners += [(g, e) for e in basis]
+        first = space.random_vector
+    else:
+        lams = [f.zero, f.one, f.neg(f.one)]
+        if isinstance(f, ExtensionField):
+            lams.append(f.generator)
+        corners = [(lam, u) for lam in lams for u in [z, *basis, *probes]]
+        first = f.random_element
+    yield from corners
     rng = random.Random(strategy.seed)
     for _ in range(strategy.samples):
-        yield m.domain.random_vector(rng), m.domain.random_vector(rng)
-
-
-def _homogeneity_pairs(m: VectorMap, strategy: Sampled):
-    yield from _homogeneity_corner_pairs(m)
-    rng = random.Random(strategy.seed)
-    for _ in range(strategy.samples):
-        yield m.domain.field.random_element(rng), m.domain.random_vector(rng)
+        yield first(rng), space.random_vector(rng)
 
 
 class _RankTable:
@@ -489,80 +468,71 @@ def _memo(m: VectorMap, strategy):
     return evaluate
 
 
-def _verdict(strategy) -> str:
-    return "holds_exhaustive" if strategy == EXHAUSTIVE else "holds_on_samples"
+# Per law, by witness kind: the (row, outer, decode) of its exhaustive scan
+# and its two sides at a pair (a, b), phi read through ev.
+_LAWS = {
+    "additivity": (
+        lambda dom, t: (t.sum_row, t.size, dom.vector_from_rank),
+        lambda dom, cod, ev, a, b: (ev(dom.add(a, b)), cod.add(ev(a), ev(b))),
+    ),
+    "homogeneity": (
+        lambda dom, t: (t.scale_row, dom.field.order, dom.field.element_from_rank),
+        lambda dom, cod, ev, a, b: (ev(dom.scalar_mul(a, b)), cod.scalar_mul(a, ev(b))),
+    ),
+}
 
 
-def _scan_additive(m: VectorMap, strategy, memo) -> CheckReport:
-    """An exhaustive scan finds its first failing pair on ranks; that pair,
-    like every sampled one, is then evaluated on field elements, where it
-    must fail too: a rank row that disagrees with the field raises
-    AssertionError rather than passing the map."""
+def _scan(m: VectorMap, law: str, strategy, memo):
+    """(pairs checked, the first failing pair's Witness or None).  An
+    exhaustive scan finds that pair on ranks; like every sampled pair it is
+    then evaluated on field elements, where it must fail too: a rank row
+    that disagrees with the field raises AssertionError rather than passing phi."""
+    rank_scan, sides = _LAWS[law]
+    dom, cod = m.domain, m.codomain
     if strategy == EXHAUSTIVE:
-        checked, pairs = memo.first_failure(
-            m.evaluate, memo.sum_row, memo.size, m.domain.vector_from_rank
-        )
+        checked, pairs = memo.first_failure(m.evaluate, *rank_scan(dom, memo))
         evaluate = memo.value
     else:
-        checked, pairs, evaluate = 0, _additivity_pairs(m, strategy), memo
-    for u1, u2 in pairs:
+        checked, pairs, evaluate = 0, _sampled_pairs(m, law, strategy), memo
+    for a, b in pairs:
         checked += 1
-        lhs = evaluate(m.domain.add(u1, u2))
-        rhs = m.codomain.add(evaluate(u1), evaluate(u2))
+        lhs, rhs = sides(dom, cod, evaluate, a, b)
         if lhs != rhs:
-            w = Witness("additivity", (u1, u2), lhs, rhs)
-            return CheckReport("additive", "violated", w, checked)
+            return checked, Witness(law, (a, b), lhs, rhs)
         if strategy == EXHAUSTIVE:
             raise AssertionError("a pair that fails on ranks holds on field elements")
-    return CheckReport("additive", _verdict(strategy), None, checked)
+    return checked, None
 
 
-def _scan_homogeneous(m: VectorMap, strategy, memo) -> CheckReport:
-    if strategy == EXHAUSTIVE:
-        field = m.domain.field
-        checked, pairs = memo.first_failure(
-            m.evaluate, memo.scale_row, field.order, field.element_from_rank
-        )
-        evaluate = memo.value
-    else:
-        checked, pairs, evaluate = 0, _homogeneity_pairs(m, strategy), memo
-    for lam, u in pairs:
-        checked += 1
-        lhs = evaluate(m.domain.scalar_mul(lam, u))
-        rhs = m.codomain.scalar_mul(lam, evaluate(u))
-        if lhs != rhs:
-            w = Witness("homogeneity", (lam, u), lhs, rhs)
-            return CheckReport("homogeneous", "violated", w, checked)
-        if strategy == EXHAUSTIVE:
-            raise AssertionError("a pair that fails on ranks holds on field elements")
-    return CheckReport("homogeneous", _verdict(strategy), None, checked)
+def _check(m: VectorMap, strategy, prop: str, *laws: str) -> CheckReport:
+    """The laws in order through one memo; the first witness wins."""
+    # the guard sizes the larger scan: q^(2 dim) additivity pairs, if run
+    k = 2 * m.domain.dim if "additivity" in laws else m.domain.dim + 1
+    strategy = _resolve_strategy(m, strategy, k)
+    memo = _memo(m, strategy)
+    total = 0
+    for law in laws:
+        checked, witness = _scan(m, law, strategy, memo)
+        total += checked
+        if witness is not None:
+            return CheckReport(prop, "violated", witness, total)
+    verdict = "holds_exhaustive" if strategy == EXHAUSTIVE else "holds_on_samples"
+    return CheckReport(prop, verdict, None, total)
 
 
 def check_additive(m: VectorMap, strategy=None) -> CheckReport:
     """Scan pairs (u1, u2) for phi(u1+u2) != phi(u1)+phi(u2)."""
-    strategy = _resolve_strategy(m, strategy, 2 * m.domain.dim)
-    return _scan_additive(m, strategy, _memo(m, strategy))
+    return _check(m, strategy, "additive", "additivity")
 
 
 def check_homogeneous(m: VectorMap, strategy=None) -> CheckReport:
     """Scan pairs (lam, u) for phi(lam*u) != lam*phi(u)."""
-    strategy = _resolve_strategy(m, strategy, m.domain.dim + 1)
-    return _scan_homogeneous(m, strategy, _memo(m, strategy))
+    return _check(m, strategy, "homogeneous", "homogeneity")
 
 
 def check_linear(m: VectorMap, strategy=None) -> CheckReport:
-    """Additivity first, then homogeneity; first witness wins.  Both scans
-    share one memo, so each input is evaluated at most once in all."""
-    strategy = _resolve_strategy(m, strategy, 2 * m.domain.dim)
-    memo = _memo(m, strategy)
-    add = _scan_additive(m, strategy, memo)
-    if add.witness is not None:
-        return CheckReport("linear", "violated", add.witness, add.pairs_checked)
-    hom = _scan_homogeneous(m, strategy, memo)
-    checked = add.pairs_checked + hom.pairs_checked
-    if hom.witness is not None:
-        return CheckReport("linear", "violated", hom.witness, checked)
-    return CheckReport("linear", _verdict(strategy), None, checked)
+    """Additivity first, then homogeneity; first witness wins."""
+    return _check(m, strategy, "linear", "additivity", "homogeneity")
 
 
 # ---------------------------------------------------------------------------
@@ -742,14 +712,10 @@ def map_from_json(text: str) -> VectorMap:
 
 
 def witness_to_dict(m: VectorMap, w: Witness) -> dict:
-    field = m.domain.field
-    if w.kind == "additivity":
-        inputs = [m.domain.encode(w.inputs[0]), m.domain.encode(w.inputs[1])]
-    else:
-        inputs = [field.encode(w.inputs[0]), m.domain.encode(w.inputs[1])]
+    first = m.domain if w.kind == "additivity" else m.domain.field
     return {
         "kind": w.kind,
-        "inputs": inputs,
+        "inputs": [first.encode(w.inputs[0]), m.domain.encode(w.inputs[1])],
         "lhs": m.codomain.encode(w.lhs),
         "rhs": m.codomain.encode(w.rhs),
     }

@@ -64,9 +64,13 @@ class VectorSpace:
 
     @property
     def size(self) -> int:
+        return self._order ** self.dim
+
+    @property
+    def _order(self) -> int:  # the one refusal of infinite sizes and ranks
         if not self.is_finite:
             raise InfiniteFieldError(f"{self} is infinite")
-        return self.field.order ** self.dim
+        return self.field.order
 
     @property
     def orbit_count(self) -> int:
@@ -113,14 +117,14 @@ class VectorSpace:
             yield coords
 
     def rank(self, v) -> int:
-        q = self.field.order
+        q = self._order
         r = 0
         for c in v:
             r = r * q + self.field.rank(c)
         return r
 
     def vector_from_rank(self, r: int):
-        q = self.field.order
+        q = self._order
         coords = []
         for _ in range(self.dim):
             coords.append(self.field.element_from_rank(r % q))
@@ -153,7 +157,7 @@ class VectorSpace:
     def orbit_ranks(self) -> list:
         """The ranks of orbits(), in order, listing no vector: a leading 1
         (field rank 1) then j free coordinates ranks q^j to 2*q^j - 1."""
-        q = self.field.order
+        q = self._order
         return [r for j in range(self.dim) for r in range(q**j, 2 * q**j)]
 
     # text encoding: "(e0,e1,...)" ---------------------------------------

@@ -50,8 +50,7 @@ from addhom.maps import (
     TableMap,
     VectorMap,
     Witness,
-    _additivity_pairs,
-    _homogeneity_pairs,
+    _sampled_pairs,
     build_char2_indicator,
     build_ratio_map,
     build_theorem1_counterexample,
@@ -297,6 +296,34 @@ def test_sampled_reports_keep_their_bytes(seed):
         assert json.dumps(report_to_dict(m, report)) == want, (desc, kind, prop)
 
 
+def _linear_table(coeffs):
+    """v -> sum of coeffs[i] * v[i], a linear map from Z_5^len(coeffs) to Z_5."""
+    dom = VectorSpace(Z5, len(coeffs))
+    entries = {v: (sum(a * x for a, x in zip(coeffs, v)) % 5,) for v in dom.vectors()}
+    return TableMap(dom, VectorSpace(Z5, 1), entries)
+
+
+def test_corner_pairs_are_pinned():
+    # no pinned report reaches the probe pairs of a 2-dim additivity check
+    # (the ratio map fails at pair 7), so the lists are pinned here; a
+    # linear map holds on every corner, so a check with no draws counts them
+    z, e1, e2, g = (0, 0), (1, 0), (0, 1), (1, 4)
+    additivity = [
+        (z, z), (z, e1), (z, e2), (e1, z), (e2, z), (e1, e1), (e1, e2), (e2, e1),
+        (e2, e2), (e1, (4, 0)), (e2, (0, 4)), (g, g), (g, z), (z, g), (g, (4, 1)),
+        (g, e1), (g, e2),
+    ]
+    homogeneity = [(lam, u) for lam in (0, 1, 4) for u in (z, e1, e2, g)]
+    no_draws = Sampled(samples=0)
+    m = _linear_table((2, 3))
+    assert list(_sampled_pairs(m, "additivity", no_draws)) == additivity
+    assert list(_sampled_pairs(m, "homogeneity", no_draws)) == homogeneity
+    for coeffs, counts in (((2, 3), [17, 12, 29]), ((2, 3, 4), [26, 15, 41])):
+        reports = [check(_linear_table(coeffs), no_draws) for check in CHECKERS.values()]
+        assert [r.verdict for r in reports] == ["holds_on_samples"] * 3
+        assert [r.pairs_checked for r in reports] == counts
+
+
 @pytest.mark.parametrize("field", [Z3, Z5, GF9], ids=lambda f: f.descriptor())
 def test_ratio_finite_fields(field):
     m = build_ratio_map(field)
@@ -325,6 +352,12 @@ def test_default_strategy_follows_finiteness():
 
 
 def test_exhaustive_checks_refuse_past_the_limit():
+    # only additivity's q^(2 dim) pairs pass the limit: 101^4 > 10^8 >= 101^3,
+    # so a guard that sized a linear check by homogeneity would run its scan
+    small = build_ratio_map(PrimeField(101))
+    for check in (check_additive, check_linear):
+        with pytest.raises(SearchSpaceTooLarge, match=r"^101\^4 pairs exceed"):
+            check(small, EXHAUSTIVE)
     m = build_ratio_map(PrimeField(1000003))
     start = time.perf_counter()
     for check, k in ((check_additive, 4), (check_homogeneous, 3), (check_linear, 4)):
@@ -512,8 +545,8 @@ def _unmemoized_check(m, prop, strategy):
         sums = itertools.product(vecs, vecs)
         scales = itertools.product(dom.field.elements(), vecs)
     else:
-        sums = _additivity_pairs(m, strategy)
-        scales = _homogeneity_pairs(m, strategy)
+        sums = _sampled_pairs(m, "additivity", strategy)
+        scales = _sampled_pairs(m, "homogeneity", strategy)
     checked = 0
     if prop in ("additive", "linear"):
         for u1, u2 in sums:

@@ -288,6 +288,19 @@ def _contains_ignores_length(mp):
         VectorSpace.contains, "len(v) == self.dim", "True"))
 
 
+def _additivity_corners_drop_probe_negation(mp):
+    # the sampled additivity corners lose the pair (g, -g) of the probe g
+    mp.setattr(maps, "_sampled_pairs", _mutated(
+        maps._sampled_pairs, "(z, g), (g, space.neg(g))]", "(z, g)]"))
+
+
+def _linear_checks_homogeneity_first(mp):
+    # the checker loop runs its laws last first, so check_linear scans
+    # homogeneity before additivity
+    mp.setattr(maps, "_check", _mutated(
+        maps._check, "for law in laws:", "for law in reversed(laws):"))
+
+
 FAULTS = {  # fault: (seeded fault, its catcher, its parameters[, match])
     "ratio-sum-as-difference": (
         _ratio_sum_as_difference,
@@ -461,6 +474,17 @@ FAULTS = {  # fault: (seeded fault, its catcher, its parameters[, match])
         _contains_ignores_length,
         test_fields.test_membership_verdicts_and_messages,
         {"field": parse_field("Fq:5:2,0,1")},
+    ),
+    "additivity-corners-drop-probe-negation": (
+        _additivity_corners_drop_probe_negation,
+        test_maps.test_corner_pairs_are_pinned,
+        {},
+    ),
+    "linear-checks-homogeneity-first": (
+        _linear_checks_homogeneity_first,
+        test_maps.test_checker_evaluates_each_input_once,
+        {"build": test_maps._perturbed_linear_table, "strategy": EXHAUSTIVE,
+         "prop": "linear"},
     ),
 }
 

@@ -74,6 +74,12 @@ def test_enumerate_gf4_dim2():
 def test_enumerate_infinite_rejected():
     with pytest.raises(InfiniteFieldError):
         list(VectorSpace(Q, 1).vectors())
+    # rank arithmetic refuses Q where size does, with size's message
+    space = VectorSpace(Q, 2)
+    for call in (space.orbit_ranks, lambda: space.rank((Q.one, Q.zero)),
+                 lambda: space.vector_from_rank(0)):
+        with pytest.raises(InfiniteFieldError, match=r"^Q\^2 is infinite$"):
+            call()
 
 
 def test_rank_roundtrip():
